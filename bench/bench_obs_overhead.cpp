@@ -1,9 +1,9 @@
-// Observability hook overhead: the engine probe sites (scheduler run,
-// dispatch, preempt, block/wake, resource acquire/release) cost one untaken
-// branch each when no MetricsCollector is attached. This bench pins that
+// Observability hook overhead: the processor's observer hook sites
+// (scheduler run, dispatch, preempt, block/wake, resource acquire/release)
+// cost one untaken branch each when nothing is subscribed. This bench pins that
 // claim with numbers: the token-ring workload from bench_engine_compare is
 // timed bare, with a collector attached, and with the full causal-attribution
-// analyzer (per-job blame decomposition) behind the collector, on both
+// analyzer (per-job blame decomposition) plugged into the collector, on both
 // engines.
 //
 // Expected result: the no-sink configuration is indistinguishable from the

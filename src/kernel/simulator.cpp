@@ -445,7 +445,6 @@ void Simulator::evaluate_phase() {
         current_process_ = p;
         ++activations_;
         ++p->activations_;
-        if (on_process_switch) on_process_switch(*p, true);
         if (p->kind_ == Process::Kind::method) {
             p->next_trigger_armed_ = false;
             try {
@@ -465,7 +464,6 @@ void Simulator::evaluate_phase() {
         } else {
             p->coro_->resume();
         }
-        if (on_process_switch) on_process_switch(*p, false);
         current_process_ = nullptr;
         if (p->kind_ == Process::Kind::thread && p->coro_->finished()) {
             p->terminated_ = true;

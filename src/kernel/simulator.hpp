@@ -210,10 +210,6 @@ public:
         return stall_report_;
     }
 
-    /// Hook invoked on every process state change the kernel can observe;
-    /// the trace layer uses this sparingly. May be empty.
-    std::function<void(Process&, bool started)> on_process_switch;
-
 private:
     friend class Event;
 

@@ -127,7 +127,7 @@ public:
                     }
                     blocked = true;
                     rtos::SchedulerEngine& eng = task->processor().engine();
-                    if (eng.probe()) eng.set_block_context(this);
+                    eng.set_block_context(this);
                     (void)eng.block_timed(*task, rtos::TaskState::waiting,
                                           remaining);
                     // If a write delivered while the timeout wake was in

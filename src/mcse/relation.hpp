@@ -19,7 +19,6 @@
 #include "kernel/event.hpp"
 #include "kernel/simulator.hpp"
 #include "kernel/time.hpp"
-#include "rtos/probe.hpp"
 #include "rtos/processor.hpp"
 #include "rtos/task.hpp"
 
@@ -168,7 +167,7 @@ protected:
         WaiterGuard guard(w, list); // unwind-safe: kill() cleans up
         rtos::SchedulerEngine& eng = w.task->processor().engine();
         do {
-            if (eng.probe()) eng.set_block_context(this);
+            eng.set_block_context(this);
             eng.block(*w.task, state);
         } while (!w.delivered);
     }

@@ -18,7 +18,6 @@
 
 #include "mcse/relation.hpp"
 #include "rtos/engine.hpp"
-#include "rtos/probe.hpp"
 
 namespace rtsc::mcse {
 
@@ -96,7 +95,7 @@ public:
                     }
                     blocked = true;
                     rtos::SchedulerEngine& eng = task->processor().engine();
-                    if (eng.probe()) eng.set_block_context(this);
+                    eng.set_block_context(this);
                     (void)eng.block_timed(*task, rtos::TaskState::waiting,
                                           remaining);
                     // If a release() delivered while the timeout wake was in
@@ -147,8 +146,8 @@ public:
         ++count_;
         account_zero();
         if (rtos::Task* task = rtos::current_task()) {
-            if (auto* p = task->processor().engine().probe())
-                p->on_resource_release(task->processor(), *task, *this);
+            task->processor().notify(&rtos::TaskObserver::on_resource_release,
+                                     task->processor(), *task, *this);
         }
         deliver_one();
         hw_wake().notify();
@@ -210,8 +209,8 @@ private:
     }
 
     void notify_acquire(rtos::Task& task) {
-        if (auto* p = task.processor().engine().probe())
-            p->on_resource_acquire(task.processor(), task, *this);
+        task.processor().notify(&rtos::TaskObserver::on_resource_acquire,
+                                task.processor(), task, *this);
     }
 
     /// A delivered-but-unconsumed unit flows back when the waiter's stack

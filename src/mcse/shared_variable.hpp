@@ -142,8 +142,8 @@ private:
             locked_ = true;
             owner_ = task;
             lock_since_ = now();
-            if (auto* p = task->processor().engine().probe())
-                p->on_resource_acquire(task->processor(), *task, *this);
+            task->processor().notify(&rtos::TaskObserver::on_resource_acquire,
+                                     task->processor(), *task, *this);
             if (protection_ == Protection::preemption_lock)
                 task->processor().lock_preemption();
         } else {
@@ -164,9 +164,9 @@ private:
         rtos::Task* released_by = owner_;
         owner_ = nullptr;
         if (released_by != nullptr) {
-            if (auto* p = released_by->processor().engine().probe())
-                p->on_resource_release(released_by->processor(), *released_by,
-                                       *this);
+            released_by->processor().notify(
+                &rtos::TaskObserver::on_resource_release,
+                released_by->processor(), *released_by, *this);
             if (boosted_owner_ == released_by) {
                 boosted_owner_ = nullptr;
                 released_by->restore_base_priority();

@@ -2,8 +2,8 @@
 // Attribution: causal latency decomposition — "why did this job take 7 ms,
 // and who is to blame for the deadline miss?"
 //
-// An online analyzer fed by the EngineProbe hooks and TaskObserver
-// notifications of both scheduler engines. Every job (one response episode,
+// An online analyzer fed by the TaskObserver notifications of both scheduler
+// engines. Every job (one response episode,
 // same release/completion rule as obs::MetricsCollector and
 // trace::ConstraintMonitor) is tiled into contiguous segments at every edge
 // that can change who occupies the CPU; each closed segment is charged to
@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "kernel/time.hpp"
-#include "rtos/probe.hpp"
 #include "rtos/processor.hpp"
 #include "rtos/task.hpp"
 
@@ -51,7 +50,7 @@ class ConstraintMonitor;
 
 namespace rtsc::obs {
 
-class Attribution final : public rtos::EngineProbe, public rtos::TaskObserver {
+class Attribution final : public rtos::TaskObserver {
 public:
     /// What the job was doing during one tiled segment of its response window.
     enum class SliceKind : std::uint8_t { exec, ready, blocked };
@@ -183,11 +182,10 @@ public:
     Attribution& operator=(const Attribution&) = delete;
     ~Attribution() override;
 
-    /// Instrument `cpu` directly: installs this analyzer as the engine probe
-    /// and as a task observer. Call before Simulator::run(). To combine with
-    /// a MetricsCollector on the same processor (single probe slot), attach
-    /// the collector and hand this analyzer to
-    /// MetricsCollector::set_attribution instead.
+    /// Instrument `cpu`: subscribes this analyzer to its events. Call before
+    /// Simulator::run(). Attaching twice is harmless, and so is combining it
+    /// with a MetricsCollector on the same processor — they are peers. The
+    /// destructor unsubscribes, so the analyzer may die before `cpu`.
     void attach(rtos::Processor& cpu);
 
     // ---- results ----
@@ -224,30 +222,14 @@ public:
     [[nodiscard]] std::vector<DeadlineMissReport> miss_reports(
         const trace::ConstraintMonitor& monitor) const;
 
-    /// Invoked on every job completion/abort (after the record is stored).
-    /// Forces eager JobRecord materialization on each completion — prefer
-    /// set_completion_hook_lite on hot paths.
-    void set_completion_hook(std::function<void(const JobRecord&)> hook) {
-        on_complete_ = std::move(hook);
-    }
-
-    /// Allocation-free variant: receives a CompletionView over the compact
-    /// per-job record instead of a materialized JobRecord.
-    /// MetricsCollector::set_attribution uses it for the blame
-    /// counters/histograms.
+    /// Invoked on every job completion/abort (after the record is stored)
+    /// with a CompletionView over the compact per-job record — allocation
+    /// free, no JobRecord is materialized. MetricsCollector::set_attribution
+    /// uses it for the blame counters/histograms.
     void set_completion_hook_lite(
         std::function<void(const CompletionView&)> hook) {
         on_complete_lite_ = std::move(hook);
     }
-
-    // ---- EngineProbe ----
-    void on_block(const rtos::Processor& cpu, const rtos::Task& t,
-                  rtos::TaskState kind, const mcse::Relation* on) override;
-    void on_wake(const rtos::Processor& cpu, const rtos::Task& t) override;
-    void on_resource_acquire(const rtos::Processor& cpu, const rtos::Task& t,
-                             const mcse::Relation& r) override;
-    void on_resource_release(const rtos::Processor& cpu, const rtos::Task& t,
-                             const mcse::Relation& r) override;
 
     // ---- TaskObserver ----
     void on_task_state(const rtos::Task& task, rtos::TaskState from,
@@ -255,6 +237,12 @@ public:
     void on_overhead(const rtos::Processor& cpu, rtos::OverheadKind kind,
                      kernel::Time start, kernel::Time duration,
                      const rtos::Task* about) override;
+    void on_block(const rtos::Processor& cpu, const rtos::Task& t,
+                  rtos::TaskState kind, const mcse::Relation* on) override;
+    void on_resource_acquire(const rtos::Processor& cpu, const rtos::Task& t,
+                             const mcse::Relation& r) override;
+    void on_resource_release(const rtos::Processor& cpu, const rtos::Task& t,
+                             const mcse::Relation& r) override;
 
 private:
     static constexpr std::size_t kOvKinds = 4;
@@ -433,7 +421,6 @@ private:
     std::map<const mcse::Relation*, const rtos::Task*> owner_of_;
     mutable std::vector<JobRecord> jobs_;  ///< lazy cache over cores_
     std::vector<BlockEpisode> episodes_;
-    std::function<void(const JobRecord&)> on_complete_;
     std::function<void(const CompletionView&)> on_complete_lite_;
     std::vector<rtos::Processor*> attached_;
 };

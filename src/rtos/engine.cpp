@@ -5,7 +5,6 @@
 
 #include "kernel/simulator.hpp"
 #include "rtos/oracle.hpp"
-#include "rtos/probe.hpp"
 #include "rtos/processor.hpp"
 #include "rtos/task.hpp"
 
@@ -199,7 +198,8 @@ void SchedulerEngine::charge(OverheadKind kind, Task* about) {
     // which models a fixed hardware PLL/regulator relock latency.
     if (dvfs && kind != OverheadKind::frequency_switch)
         d = processor_.dvfs_scale(d);
-    processor_.notify_overhead(kind, start, d, about);
+    processor_.notify(&TaskObserver::on_overhead, processor_, kind, start, d,
+                      about);
     if (d.is_zero()) return;
     // Book the overhead energy charge-wise only AFTER the wait completes:
     // the time-based fold of the overhead phase in set_phase covers the
@@ -269,7 +269,8 @@ Task* SchedulerEngine::select_and_grant() {
 
 void SchedulerEngine::note_scheduler_run() {
     ++stats_.scheduler_runs;
-    if (probe_) probe_->on_scheduler_run(processor_, ready_.size());
+    processor_.notify(&TaskObserver::on_scheduler_run, processor_,
+                      ready_.size());
 }
 
 void SchedulerEngine::schedule_pass(Task* about) {
@@ -292,16 +293,16 @@ void SchedulerEngine::leave_running(Task& t, TaskState to, PreemptReason reason)
         // A preempted task resumes before equal-rank later arrivals; slice
         // rotation and yield go to the back of the queue.
         push_ready(t, /*front=*/reason == PreemptReason::higher_priority);
-        if (probe_ && t.entered_ready_preempted_) {
+        if (processor_.observed() && t.entered_ready_preempted_) {
             std::size_t depth = 0;
             for (const Task* r : ready_)
                 if (r->entered_ready_preempted_) ++depth;
-            probe_->on_preempt(processor_, t, depth);
+            processor_.notify(&TaskObserver::on_preempt, processor_, t, depth);
         }
     }
-    if (probe_ &&
-        (to == TaskState::waiting || to == TaskState::waiting_resource)) {
-        probe_->on_block(processor_, t, to, block_context_);
+    if (to == TaskState::waiting || to == TaskState::waiting_resource) {
+        processor_.notify(&TaskObserver::on_block, processor_, t, to,
+                          block_context_);
         block_context_ = nullptr;
     }
     // Job boundary for the RT-DVS policies: waiting = job done until the next
@@ -316,10 +317,10 @@ void SchedulerEngine::leave_running(Task& t, TaskState to, PreemptReason reason)
 void SchedulerEngine::enter_running(Task& t) {
     running_ = &t;
     ++stats_.dispatches;
-    if (probe_) {
+    if (processor_.observed()) {
         const k::Time now = processor_.simulator().now();
-        probe_->on_dispatch(processor_, t, now - t.state_since_,
-                            now - t.granted_at_);
+        processor_.notify(&TaskObserver::on_dispatch, processor_, t,
+                          now - t.state_since_, now - t.granted_at_);
     }
     set_phase(Phase::running);
     t.set_state(TaskState::running);
@@ -590,7 +591,7 @@ void SchedulerEngine::make_ready(Task& t) {
     ++t.stats_.activations;
     push_ready(t, /*front=*/false);
     t.set_state(TaskState::ready);
-    if (probe_) probe_->on_wake(processor_, t);
+    processor_.notify(&TaskObserver::on_wake, processor_, t);
 
     Task* caller = current_task();
     // A killed/crashed caller is unwinding (ProcessKilled or a body

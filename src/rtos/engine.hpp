@@ -36,7 +36,6 @@ class Relation;
 
 namespace rtsc::rtos {
 
-class EngineProbe;
 class ScheduleOracle;
 
 class SchedulerEngine {
@@ -111,17 +110,10 @@ public:
     /// Accumulators are folded up to the current instant on read.
     [[nodiscard]] PhaseStats phase_stats() const;
 
-    /// Install (or clear, with nullptr) the instrumentation probe. At most
-    /// one probe per engine; every hook site costs one branch when none is
-    /// registered (see rtos/probe.hpp).
-    void set_probe(EngineProbe* p) noexcept { probe_ = p; }
-    [[nodiscard]] EngineProbe* probe() const noexcept { return probe_; }
-
     /// Communication relations name the object a task is about to block on
-    /// so the probe's on_block hook can attribute the wait. Set immediately
-    /// before the block()/block_timed() call, consumed (and cleared) by the
-    /// leave-Running transition it causes. Callers only set it when a probe
-    /// is installed, keeping the uninstrumented path write-free.
+    /// so the observers' on_block hook can attribute the wait. Set
+    /// immediately before the block()/block_timed() call, consumed (and
+    /// cleared) by the leave-Running transition it causes.
     void set_block_context(const mcse::Relation* r) noexcept { block_context_ = r; }
 
     /// Install (or clear, with nullptr) the schedule-space oracle
@@ -222,10 +214,9 @@ protected:
     void arm_slice(Task& t);
     void cancel_slice(Task& t);
 
-    /// Count a scheduling pass and fire the probe (both engines call this
+    /// Count a scheduling pass and notify observers (both engines call this
     /// for the inline Fig. 6 case (c) charge; schedule_pass calls it too).
     void note_scheduler_run();
-    void bump_scheduler_runs() { note_scheduler_run(); }
 
     // Task-handshake accessors for derived engines (base-class friendship).
     static void set_kicked(Task& t) noexcept;
@@ -252,7 +243,6 @@ protected:
     /// kicked branch rechecks killed_ afterwards.
     Task* pass_runner_ = nullptr;
     PhaseStats stats_;
-    EngineProbe* probe_ = nullptr; ///< optional instrumentation, see set_probe
     ScheduleOracle* oracle_ = nullptr; ///< optional tie-break oracle, see above
     const mcse::Relation* block_context_ = nullptr; ///< see set_block_context
 

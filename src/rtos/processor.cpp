@@ -1,5 +1,7 @@
 #include "rtos/processor.hpp"
 
+#include <algorithm>
+
 #include "kernel/simulator.hpp"
 #include "rtos/procedural_engine.hpp"
 #include "rtos/threaded_engine.hpp"
@@ -36,7 +38,8 @@ Task& Processor::create_task(TaskConfig config, Task::Body body) {
     Task& t = *task;
     tasks_.push_back(std::move(task));
     // Announce creation so timeline recorders can open a row for the task.
-    notify_state(t, TaskState::created, TaskState::created);
+    notify(&TaskObserver::on_task_state, t, TaskState::created,
+           TaskState::created);
     return t;
 }
 
@@ -82,13 +85,13 @@ kernel::Time Processor::overhead_duration(OverheadKind kind) const {
     return kernel::Time::zero();
 }
 
-void Processor::notify_state(const Task& t, TaskState from, TaskState to) const {
-    for (TaskObserver* obs : observers_) obs->on_task_state(t, from, to);
+void Processor::add_observer(TaskObserver& obs) {
+    if (std::find(observers_.begin(), observers_.end(), &obs) == observers_.end())
+        observers_.push_back(&obs);
 }
 
-void Processor::notify_overhead(OverheadKind kind, kernel::Time start,
-                                kernel::Time dur, const Task* about) const {
-    for (TaskObserver* obs : observers_) obs->on_overhead(*this, kind, start, dur, about);
+void Processor::remove_observer(const TaskObserver& obs) {
+    std::erase(observers_, &obs);
 }
 
 } // namespace rtsc::rtos

@@ -136,10 +136,21 @@ public:
     }
 
     // ---- observers ----
-    void add_observer(TaskObserver& obs) { observers_.push_back(&obs); }
-    void notify_state(const Task& t, TaskState from, TaskState to) const;
-    void notify_overhead(OverheadKind kind, kernel::Time start, kernel::Time dur,
-                         const Task* about) const;
+    /// Subscribe `obs` to this processor's events (rtos/task.hpp). A second
+    /// subscription of the same observer is ignored.
+    void add_observer(TaskObserver& obs);
+    /// Unsubscribe `obs`; a no-op when it is not subscribed. Observers that
+    /// may die before the processor call this from their destructor.
+    void remove_observer(const TaskObserver& obs);
+    /// Whether anyone listens. Hook sites that compute arguments check it
+    /// first, so an unobserved processor pays one branch per event.
+    [[nodiscard]] bool observed() const noexcept { return !observers_.empty(); }
+    /// Deliver one event to every observer, in subscription order:
+    /// `notify(&TaskObserver::on_wake, cpu, task)`.
+    template <class... Params, class... Args>
+    void notify(void (TaskObserver::*hook)(Params...), Args&&... args) const {
+        for (TaskObserver* obs : observers_) (obs->*hook)(args...);
+    }
 
 private:
     friend class SchedulerEngine; // level application + energy folding

@@ -8,6 +8,7 @@
 // MCSE communication relations (rtsc::mcse), sleeps, or yields. The RTOS
 // engines move it between the Waiting / Ready / Running states of §4.
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -18,6 +19,9 @@
 
 namespace rtsc::kernel {
 class Process;
+}
+namespace rtsc::mcse {
+class Relation;
 }
 
 namespace rtsc::rtos {
@@ -30,8 +34,18 @@ struct TaskConfig {
     std::size_t stack_bytes = 128 * 1024;
 };
 
-/// Observer of task state transitions and RTOS overhead charges; the trace
-/// layer implements this to build TimeLine charts and statistics.
+/// Observer of everything a Processor's RTOS does: task state transitions,
+/// overhead charges, scheduling passes, dispatches, preemptions, blocks,
+/// wakes and mutual-exclusion ownership. The trace layer implements it to
+/// build TimeLine charts and statistics; src/obs/ builds metrics and blame
+/// attribution on it. Subscribe with Processor::add_observer — any number of
+/// observers, notified in subscription order. Every hook but on_task_state
+/// defaults to a no-op; a processor without observers pays one untaken
+/// branch per event.
+///
+/// All durations are *simulated* time, never host wall-clock, so readings
+/// are deterministic and identical across the procedural and the threaded
+/// engine (pinned by tests/obs/test_metrics_equivalence.cpp).
 class TaskObserver {
 public:
     virtual ~TaskObserver() = default;
@@ -40,6 +54,64 @@ public:
                              kernel::Time start, kernel::Time duration,
                              const Task* about) {
         (void)cpu; (void)kind; (void)start; (void)duration; (void)about;
+    }
+
+    /// A scheduling pass ran (schedule_pass or the inline Fig. 6 case (c)
+    /// charge). `ready_len` samples the ReadyTaskQueue length at the start
+    /// of the pass.
+    virtual void on_scheduler_run(const Processor& cpu, std::size_t ready_len) {
+        (void)cpu; (void)ready_len;
+    }
+
+    /// A task entered Running. `sched_latency` is the time it spent in the
+    /// Ready state waiting for the CPU (ready -> running); `dispatch_latency`
+    /// is the tail from the scheduler granting it the CPU to it actually
+    /// running (the context-load portion). Fired before the Running
+    /// transition is published.
+    virtual void on_dispatch(const Processor& cpu, const Task& t,
+                             kernel::Time sched_latency,
+                             kernel::Time dispatch_latency) {
+        (void)cpu; (void)t; (void)sched_latency; (void)dispatch_latency;
+    }
+
+    /// A running task was preempted (higher-priority arrival or slice
+    /// expiry). `depth` counts the tasks sitting in the ready queue that got
+    /// there through preemption, this one included — the current preemption
+    /// nesting depth.
+    virtual void on_preempt(const Processor& cpu, const Task& t,
+                            std::size_t depth) {
+        (void)cpu; (void)t; (void)depth;
+    }
+
+    /// A running task left the CPU to block. `kind` is the destination state
+    /// (waiting for synchronization, waiting_resource for mutual exclusion);
+    /// `on` names the communication relation being blocked on, or nullptr for
+    /// sleeps and raw engine blocks. Fired before the state transition is
+    /// published.
+    virtual void on_block(const Processor& cpu, const Task& t, TaskState kind,
+                          const mcse::Relation* on) {
+        (void)cpu; (void)t; (void)kind; (void)on;
+    }
+
+    /// A waiting task was made ready (delivery, timer expiry or interrupt).
+    /// Fired right after the Ready transition is published.
+    virtual void on_wake(const Processor& cpu, const Task& t) {
+        (void)cpu; (void)t;
+    }
+
+    /// `t` became the owner of a mutual-exclusion style resource (shared
+    /// variable lock, semaphore unit). Fired from the owning task's thread at
+    /// the instant ownership transfers (for reservation-style delivery this
+    /// is the release instant, before the waiter resumes).
+    virtual void on_resource_acquire(const Processor& cpu, const Task& t,
+                                     const mcse::Relation& r) {
+        (void)cpu; (void)t; (void)r;
+    }
+
+    /// `t` gave up ownership of `r`.
+    virtual void on_resource_release(const Processor& cpu, const Task& t,
+                                     const mcse::Relation& r) {
+        (void)cpu; (void)t; (void)r;
     }
 };
 
@@ -249,7 +321,7 @@ private:
     kernel::Event ev_ack_;        ///< threaded engine: synchronous-call ack
     kernel::Event ev_retired_;    ///< TaskRetired: terminal leave settled
     bool granted_ = false;        ///< selected by the scheduler, may load+run
-    kernel::Time granted_at_{};   ///< when granted_ was last set (probe latency)
+    kernel::Time granted_at_{};   ///< when granted_ was last set (dispatch latency)
     bool kicked_ = false;         ///< must execute a scheduling pass (procedural)
     bool preempt_pending_ = false;
     PreemptReason preempt_reason_ = PreemptReason::none;

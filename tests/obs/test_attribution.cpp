@@ -9,6 +9,7 @@
 //   - deadline-miss reports naming the critical path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -188,7 +189,7 @@ TEST(Attribution, CollectorForwardsAndFeedsBlameMetrics) {
     o::MetricsRegistry reg;
     o::MetricsCollector coll(reg);
     o::Attribution attr;
-    coll.set_attribution(&attr); // single probe slot: collector forwards
+    coll.set_attribution(&attr); // subscribed as the collector's peer
     coll.attach(cpu);
 
     m::Event ev("ev", m::EventPolicy::fugitive);
@@ -298,15 +299,43 @@ TEST(Attribution, RmPreemptionBlameMatchesResponseTimeAnalysis) {
 
 namespace {
 
+/// How the analyzer and a MetricsCollector subscribe to the processor.
+enum class Wiring {
+    attribution_only,  ///< attr.attach(cpu)
+    collector_only,    ///< coll.attach(cpu)
+    attribution_first, ///< attr.attach(cpu); coll.attach(cpu)
+    collector_first,   ///< coll.attach(cpu); attr.attach(cpu)
+    plugged,           ///< coll.set_attribution(&attr); coll.attach(cpu)
+    plugged_then_attr, ///< plugged, then attr.attach(cpu) on top
+};
+
 struct Figure7App {
-    Figure7App(r::EngineKind kind, m::Protection protection)
+    Figure7App(r::EngineKind kind, m::Protection protection,
+               Wiring wiring = Wiring::attribution_only)
         : cpu("Processor", std::make_unique<r::PriorityPreemptivePolicy>(),
               kind),
           clk("Clk", m::EventPolicy::fugitive),
           event1("Event_1", m::EventPolicy::boolean),
           shared_var("SharedVar_1", 0, protection) {
         cpu.set_overheads(r::RtosOverheads::uniform(5_us));
-        attr.attach(cpu);
+        switch (wiring) {
+            case Wiring::attribution_only: attr.attach(cpu); break;
+            case Wiring::collector_only: coll.attach(cpu); break;
+            case Wiring::attribution_first:
+                attr.attach(cpu);
+                coll.attach(cpu);
+                break;
+            case Wiring::collector_first:
+                coll.attach(cpu);
+                attr.attach(cpu);
+                break;
+            case Wiring::plugged:
+            case Wiring::plugged_then_attr:
+                coll.set_attribution(&attr);
+                coll.attach(cpu);
+                if (wiring == Wiring::plugged_then_attr) attr.attach(cpu);
+                break;
+        }
 
         cpu.create_task({.name = "Function_1", .priority = 5},
                         [this](r::Task& self) {
@@ -335,8 +364,43 @@ struct Figure7App {
     m::Event clk;
     m::Event event1;
     m::SharedVariable<int> shared_var;
+    o::MetricsRegistry reg;
+    o::MetricsCollector coll{reg};
     o::Attribution attr;
 };
+
+std::vector<std::string> serialize_episodes(const o::Attribution& a) {
+    std::vector<std::string> rows;
+    for (const auto& e : a.episodes()) {
+        std::string row = e.victim + " #" + std::to_string(e.job_index) +
+                          " on " + e.resource + " owner=" + e.owner +
+                          " [" + std::to_string(e.start.raw_ps()) + "," +
+                          std::to_string(e.end.raw_ps()) + "] prio " +
+                          std::to_string(e.victim_priority) + "/" +
+                          std::to_string(e.owner_priority) +
+                          (e.inversion ? " inversion" : "") + " chain:";
+        for (const auto& c : e.chain) row += " " + c;
+        row += " aggravators:";
+        for (const auto& c : e.aggravators) row += " " + c;
+        rows.push_back(std::move(row));
+    }
+    return rows;
+}
+
+/// Snapshot as "name=value" rows; `with_blame` false drops the per-job blame
+/// catalogue that only the set_attribution route feeds.
+std::vector<std::string> registry_rows(const o::MetricsRegistry& reg,
+                                       bool with_blame) {
+    std::vector<std::string> rows;
+    for (const auto& smp : reg.snapshot()) {
+        const bool blame = smp.name.find(".blame.") != std::string::npos ||
+                           smp.name.find(".preempted_by.") != std::string::npos ||
+                           smp.name.find(".blocked_on.") != std::string::npos;
+        if (blame && !with_blame) continue;
+        rows.push_back(smp.name + "=" + std::to_string(smp.value));
+    }
+    return rows;
+}
 
 } // namespace
 
@@ -404,6 +468,78 @@ TEST(Attribution, Figure7PriorityInheritanceSuppressesInversionFlag) {
         EXPECT_TRUE(app.attr.inversions().empty());
         for (const auto& e : app.attr.episodes())
             EXPECT_GE(e.owner_priority, e.victim_priority) << e.victim;
+    }
+}
+
+// The collector and the analyzer are peer observers: what each reports must
+// not depend on what else is subscribed, nor in which order.
+
+namespace {
+
+struct Figure7Result {
+    std::vector<std::string> jobs;
+    std::vector<std::string> episodes;
+    std::vector<Time> inversions;  ///< durations of the flagged episodes
+    std::vector<std::string> metrics; ///< collector catalogue, blame excluded
+    std::vector<std::string> all_metrics;
+};
+
+Figure7Result run_figure7(r::EngineKind kind, Wiring wiring) {
+    k::Simulator sim;
+    Figure7App app(kind, m::Protection::none, wiring);
+    sim.run();
+    Figure7Result out;
+    if (wiring != Wiring::collector_only)
+        expect_conserving(app.attr, "figure 7");
+    out.jobs = serialize(app.attr);
+    out.episodes = serialize_episodes(app.attr);
+    for (const auto* e : app.attr.inversions())
+        out.inversions.push_back(e->duration());
+    out.metrics = registry_rows(app.reg, false);
+    out.all_metrics = registry_rows(app.reg, true);
+    return out;
+}
+
+} // namespace
+
+TEST(Attribution, Figure7PeersAgreeInEveryWiring) {
+    for (const auto kind : kEngines) {
+        const char* label = kind == r::EngineKind::procedure_calls
+                                ? "procedural"
+                                : "threaded";
+        const auto alone = run_figure7(kind, Wiring::attribution_only);
+        const auto coll_alone = run_figure7(kind, Wiring::collector_only);
+        ASSERT_EQ(alone.episodes.size(), 1u) << label;
+        EXPECT_EQ(alone.inversions, std::vector<Time>{45_us}) << label;
+        EXPECT_NE(std::find(coll_alone.metrics.begin(), coll_alone.metrics.end(),
+                            "cpu.Processor.preemptions=2.000000"),
+                  coll_alone.metrics.end())
+            << label;
+
+        for (const auto w : {Wiring::attribution_first, Wiring::collector_first,
+                             Wiring::plugged, Wiring::plugged_then_attr}) {
+            const auto n = static_cast<int>(w);
+            const auto res = run_figure7(kind, w);
+            EXPECT_EQ(res.jobs, alone.jobs) << label << " wiring " << n;
+            EXPECT_EQ(res.episodes, alone.episodes) << label << " wiring " << n;
+            EXPECT_EQ(res.inversions, alone.inversions)
+                << label << " wiring " << n;
+            EXPECT_EQ(res.metrics, coll_alone.metrics)
+                << label << " wiring " << n;
+        }
+
+        // The set_attribution route also feeds the blame catalogue, and
+        // attaching the plugged analyzer once more is ignored: no job, block
+        // or blame sample is counted twice.
+        const auto plugged = run_figure7(kind, Wiring::plugged);
+        EXPECT_NE(std::find(plugged.all_metrics.begin(),
+                            plugged.all_metrics.end(),
+                            "task.Function_2.blocked_on.SharedVar_1=1.000000"),
+                  plugged.all_metrics.end())
+            << label;
+        EXPECT_EQ(run_figure7(kind, Wiring::plugged_then_attr).all_metrics,
+                  plugged.all_metrics)
+            << label;
     }
 }
 

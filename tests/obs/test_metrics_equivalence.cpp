@@ -1,10 +1,11 @@
 // Engine-equivalence of the instrumentation hooks: a preemption-heavy
 // scenario run under the threaded engine (§4.1) and the procedural engine
-// (§4.2) must fill the metrics registry with IDENTICAL values — every probe
+// (§4.2) must fill the metrics registry with IDENTICAL values — every hook
 // reading derives from simulated time and shared scheduler state, never from
 // engine internals or host time.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,40 +27,45 @@ namespace {
 /// Three tasks, repeated interrupts: H preempts whatever runs every 100us,
 /// M wakes twice, L grinds through a long compute. Several preemptions,
 /// nested ones included.
-std::vector<o::MetricSample> run_scenario(r::EngineKind engine) {
+struct Scenario {
     k::Simulator sim;
-    r::Processor cpu("cpu", std::make_unique<r::PriorityPreemptivePolicy>(),
-                     engine);
-    cpu.set_overheads(r::RtosOverheads::uniform(3_us));
+    r::Processor cpu;
+    m::Event tick{"tick", m::EventPolicy::fugitive};
+    m::Event nudge{"nudge", m::EventPolicy::fugitive};
 
+    explicit Scenario(r::EngineKind engine)
+        : cpu("cpu", std::make_unique<r::PriorityPreemptivePolicy>(), engine) {
+        cpu.set_overheads(r::RtosOverheads::uniform(3_us));
+        cpu.create_task({.name = "H", .priority = 9}, [this](r::Task& self) {
+            for (int i = 0; i < 5; ++i) {
+                tick.await();
+                self.compute(15_us);
+            }
+        });
+        cpu.create_task({.name = "M", .priority = 5}, [this](r::Task& self) {
+            for (int i = 0; i < 2; ++i) {
+                nudge.await();
+                self.compute(40_us);
+            }
+        });
+        cpu.create_task({.name = "L", .priority = 1},
+                        [](r::Task& self) { self.compute(400_us); });
+        sim.spawn("hw", [this] {
+            for (int i = 0; i < 5; ++i) {
+                k::wait(100_us);
+                tick.signal();
+                if (i == 1 || i == 3) nudge.signal();
+            }
+        });
+    }
+};
+
+std::vector<o::MetricSample> run_scenario(r::EngineKind engine) {
+    Scenario sc(engine);
     o::MetricsRegistry reg;
     o::MetricsCollector collector(reg);
-    collector.attach(cpu);
-
-    m::Event tick("tick", m::EventPolicy::fugitive);
-    m::Event nudge("nudge", m::EventPolicy::fugitive);
-    cpu.create_task({.name = "H", .priority = 9}, [&](r::Task& self) {
-        for (int i = 0; i < 5; ++i) {
-            tick.await();
-            self.compute(15_us);
-        }
-    });
-    cpu.create_task({.name = "M", .priority = 5}, [&](r::Task& self) {
-        for (int i = 0; i < 2; ++i) {
-            nudge.await();
-            self.compute(40_us);
-        }
-    });
-    cpu.create_task({.name = "L", .priority = 1},
-                    [](r::Task& self) { self.compute(400_us); });
-    sim.spawn("hw", [&] {
-        for (int i = 0; i < 5; ++i) {
-            k::wait(100_us);
-            tick.signal();
-            if (i == 1 || i == 3) nudge.signal();
-        }
-    });
-    sim.run();
+    collector.attach(sc.cpu);
+    sc.sim.run();
     return reg.snapshot();
 }
 
@@ -133,19 +139,37 @@ TEST(MetricsEquivalence, CollectorCatalogueIsPlausible) {
               reg.find_counter("cpu.cpu.scheduler_runs")->value());
 }
 
-TEST(MetricsEquivalence, DestructorClearsEngineProbe) {
-    k::Simulator sim;
-    r::Processor cpu("cpu", std::make_unique<r::PriorityPreemptivePolicy>());
-    o::MetricsRegistry reg;
-    {
-        o::MetricsCollector collector(reg);
-        collector.attach(cpu);
-        EXPECT_EQ(cpu.engine().probe(), &collector);
+TEST(MetricsEquivalence, DestructorUnsubscribesCollector) {
+    for (const auto engine :
+         {r::EngineKind::procedure_calls, r::EngineKind::rtos_thread}) {
+        Scenario sc(engine);
+        o::MetricsRegistry reg;
+        auto collector = std::make_unique<o::MetricsCollector>(reg);
+        collector->attach(sc.cpu);
         // The catalogue exists as soon as attach() runs (stable snapshots
-        // even for processors that never schedule)...
+        // even for processors that never schedule).
         ASSERT_NE(reg.find_counter("cpu.cpu.ctx_switches"), nullptr);
+        EXPECT_EQ(reg.find_counter("cpu.cpu.ctx_switches")->value(), 0u);
+
+        // Destroy the collector mid-model, between the second and third
+        // tick, and keep simulating: the processor must not call into the
+        // freed observer (the sanitizer legs catch a dangling subscription)
+        // and the registry keeps exactly what it held at destruction.
+        sc.sim.run_until(250_us);
+        const std::uint64_t dispatched = sc.cpu.engine().phase_stats().dispatches;
+        ASSERT_GT(dispatched, 0u);
+        EXPECT_EQ(reg.find_counter("cpu.cpu.ctx_switches")->value(), dispatched);
+        const auto at_destruction = reg.snapshot();
+        collector.reset();
+        sc.sim.run();
+
+        EXPECT_GT(sc.cpu.engine().phase_stats().dispatches, dispatched);
+        const auto after = reg.snapshot();
+        ASSERT_EQ(after.size(), at_destruction.size());
+        for (std::size_t i = 0; i < after.size(); ++i) {
+            EXPECT_EQ(after[i].name, at_destruction[i].name);
+            EXPECT_DOUBLE_EQ(after[i].value, at_destruction[i].value)
+                << after[i].name;
+        }
     }
-    // ...and a collector outlived by its processor leaves no dangling probe.
-    EXPECT_EQ(cpu.engine().probe(), nullptr);
-    EXPECT_EQ(reg.find_counter("cpu.cpu.ctx_switches")->value(), 0u);
 }

@@ -74,7 +74,11 @@ struct RoundTrip {
         sim.run();
 
         const auto misses = attr.miss_reports(mon);
-        path = "query_roundtrip.perfetto.json";
+        // One file per test: ctest -j runs the tests of this suite as
+        // concurrent processes in the same directory.
+        path = std::string("query_roundtrip.") +
+               ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+               ".perfetto.json";
         o::write_perfetto_file(path, rec,
                                {.attribution = &attr, .misses = &misses});
         data = q::load(path);

@@ -313,6 +313,29 @@ TEST_P(SchedulingTest, StartTimeDelaysRelease) {
     EXPECT_EQ(sim.now(), 110_us);
 }
 
+TEST_P(SchedulingTest, ObserverSubscribesOnceAndUnsubscribes) {
+    k::Simulator sim;
+    r::Processor cpu("cpu", std::make_unique<r::PriorityPreemptivePolicy>(), engine());
+    cpu.set_overheads(r::RtosOverheads::uniform(5_us));
+    RecordingObserver once;
+    RecordingObserver twice;
+    RecordingObserver removed;
+    cpu.add_observer(once);
+    cpu.add_observer(twice);
+    cpu.add_observer(twice); // ignored: already subscribed
+    cpu.add_observer(removed);
+    cpu.remove_observer(removed);
+    cpu.remove_observer(removed); // no-op: not subscribed
+    cpu.create_task({.name = "A", .priority = 1},
+                    [](r::Task& self) { self.compute(100_us); });
+    sim.run();
+    EXPECT_EQ(once.log.size(), 3u); // ready, running, terminated
+    EXPECT_EQ(twice.log, once.log);
+    EXPECT_EQ(twice.overheads.size(), once.overheads.size());
+    EXPECT_TRUE(removed.log.empty());
+    EXPECT_TRUE(removed.overheads.empty());
+}
+
 TEST_P(SchedulingTest, YieldRotatesEqualPriorityTasks) {
     k::Simulator sim;
     r::Processor cpu("cpu", std::make_unique<r::PriorityPreemptivePolicy>(), engine());
