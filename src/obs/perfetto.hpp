@@ -3,18 +3,27 @@
 // as a JSON object ({"traceEvents": [...]}) loadable by ui.perfetto.dev and
 // chrome://tracing.
 //
+// There is one writer: write_perfetto_json replays the recorder's records at
+// their recorded times through obs::pfmt::EventWriter, the layout core that
+// obs::PerfettoStreamWriter feeds live during a run. A batch and a streamed
+// export of one run therefore hold the same events, in a different order.
+//
 // Track layout:
 //   pid 1..P        one "process" per attached Processor (process_name)
 //     tid 0           RTOS overhead slices ("X", name = overhead kind)
 //     tid 1..N        one thread per task (thread_name); complete slices
 //                     ("X") for ready / running / waiting / waiting_resource
-//                     periods, built from Timeline::segments — created and
-//                     terminated stretches are blank, zero-length segments
-//                     are dropped
+//                     periods, the last one closed at the trace end (the
+//                     latest record) — created and terminated stretches are
+//                     blank, zero-length segments are dropped
 //   pid P+1         "comm" process: one thread per attached Relation,
 //                     thread instants ("i", scope "t") per access
 //   pid P+2         "events" process: fault / watchdog / deadline markers
 //                     (Recorder::mark) as global instants ("i", scope "g")
+//   pid P+3..       streamed exports only: auxiliary counter processes
+//                     (PerfettoStreamWriter::counter)
+//
+// Process/thread metadata ("M") follows the slices and instants.
 //
 // With an Attribution analyzer (PerfettoOptions::attribution) each task
 // additionally gets a "<task>.jobs" track (tid N+1+j on its processor): one
@@ -32,7 +41,7 @@
 // through JSON string escaping, so hostile task/relation names stay valid.
 //
 // The output is deterministic: identical recorder content yields
-// byte-identical JSON.
+// byte-identical JSON, one event per line.
 //
 // Lifetime: the Recorder stores pointers into the model (tasks, processors,
 // relations). Export while those objects are still alive — i.e. before the
@@ -49,10 +58,6 @@
 namespace rtsc::obs {
 
 struct PerfettoOptions {
-    bool include_comms = true;
-    bool include_markers = true;
-    /// Pretty-print one event per line (slightly larger, diff-friendly).
-    bool one_event_per_line = true;
     /// When set, per-job blame slices, blocking-chain instants and
     /// culprit->victim flow events are emitted (see header comment). The
     /// analyzer must have observed the same processors as the recorder.

@@ -1,76 +1,124 @@
 #pragma once
-// Shared Perfetto/Chrome trace-event formatting layer.
+// The one Perfetto / Chrome trace-event writer behind both exports.
 //
-// Both exporters — the post-hoc batch writer (obs/perfetto.hpp) and the
-// streaming bounded-memory writer (obs/perfetto_stream.hpp) — must emit
-// byte-identical event strings for the same underlying record, or the
-// "streamed export equals batch export after canonical sort" contract
-// (tests/obs/test_perfetto_stream.cpp) breaks. Every event string is built
-// here, in one place, by allocation-light append formatting; the writers
-// only decide *when* an event is emitted and where its bytes go.
+// EventWriter owns the whole track layout documented in obs/perfetto.hpp:
+// pid/tid numbering (from the registered processor and relation lists),
+// per-task state cursors, the trace end, auxiliary counter processes, the
+// process/thread metadata and the causal-attribution events. Every entry
+// point takes an explicit simulated time, so the same code serves
+//   - obs::PerfettoStreamWriter, which feeds it live from its observer
+//     hooks at the simulator's now(), and
+//   - obs::write_perfetto_json, which replays a trace::Recorder's records
+//     at their recorded times.
+// The two exports therefore carry the same events, byte-for-byte per
+// event; only the order in which the records arrive differs.
 //
-// Also hosts the causal-attribution event emitter: the per-job blame
-// slices, blocking-chain instants, culprit->victim flows and deadline-miss
-// instants are a pure function of (track index, Attribution) and are always
-// emitted post-run, so batch and streaming share the exact code path.
+// Events are appended, ",\n"-separated, to an in-memory window that is
+// written to the ostream once it reaches window_bytes (0 writes every event
+// through). Every event string is built by allocation-light append
+// formatting in perfetto_format.cpp.
 
-#include <functional>
+#include <cstddef>
+#include <iosfwd>
 #include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "kernel/time.hpp"
+#include "mcse/relation.hpp"
 #include "obs/attribution.hpp"
+#include "rtos/processor.hpp"
+#include "rtos/task.hpp"
 
 namespace rtsc::obs::pfmt {
 
-/// Append-formatted event strings; each returns one complete JSON object
-/// (no trailing comma/newline — the writers own the separator plumbing).
-[[nodiscard]] std::string meta_process(int pid, std::string_view name);
-[[nodiscard]] std::string meta_thread(int pid, int tid, std::string_view name);
+class EventWriter {
+public:
+    struct Stats {
+        std::size_t events = 0;            ///< events emitted so far
+        std::size_t window_bytes = 0;      ///< current window occupancy
+        std::size_t peak_window_bytes = 0; ///< high-water mark of the window
+        std::size_t flushes = 0;           ///< window spills to the ostream
+        std::size_t spooled_bytes = 0;     ///< bytes written to the ostream
+    };
 
-/// Complete slice ("X"). `args_json` is a full {"k": v} object or empty.
-[[nodiscard]] std::string slice(int pid, int tid, kernel::Time at,
-                                kernel::Time dur, std::string_view cat,
-                                std::string_view name,
-                                const std::string& args_json = {});
+    /// Writes the JSON header ({"traceEvents": [) to `os`.
+    EventWriter(std::ostream& os, std::size_t window_bytes);
 
-/// Instant ("i") with scope `scope` ("t" thread, "g" global).
-[[nodiscard]] std::string instant(int pid, int tid, kernel::Time at,
-                                  char scope, std::string_view cat,
-                                  std::string_view name,
-                                  const std::string& args_json = {});
+    /// Register a processor (pid = registration index + 1) or a relation
+    /// (thread registration index + 1 under the "comm" process). Register
+    /// everything before the first event: events bake their pids in.
+    void add(const rtos::Processor& cpu) { processors_.push_back(&cpu); }
+    void add(const mcse::Relation& rel) { relations_.push_back(&rel); }
 
-/// Counter sample ("C"): one point of the counter track `name` under `pid`.
-/// The value is rendered with %.17g — round-trippable, and deterministic
-/// for the simulated-time quantities the MetricsSampler emits.
-[[nodiscard]] std::string counter(int pid, kernel::Time at,
-                                  std::string_view name, double value);
+    /// One task state transition at `at`; from == to announces creation.
+    /// Emits the slice of the state the task leaves.
+    void task_state(kernel::Time at, const rtos::Task& task,
+                    rtos::TaskState from, rtos::TaskState to);
+    /// One RTOS overhead charge on tid 0 of `cpu`'s process.
+    void overhead(const rtos::Processor& cpu, rtos::OverheadKind kind,
+                  kernel::Time start, kernel::Time duration,
+                  const rtos::Task* about);
+    /// One communication access (`task` nullptr for hardware accesses).
+    void access(kernel::Time at, const mcse::Relation& rel,
+                const rtos::Task* task, mcse::AccessKind kind, bool blocked);
+    /// One global instant on the "events" process.
+    void marker(kernel::Time at, std::string_view category,
+                std::string_view name);
 
-/// Flow endpoints used for culprit->victim blocking arrows.
-[[nodiscard]] std::string flow_start(std::uint64_t id, kernel::Time at,
-                                     int pid, int tid);
-[[nodiscard]] std::string flow_finish(std::uint64_t id, kernel::Time at,
-                                      int pid, int tid);
+    /// Counter samples on `cpu`'s process, or on the auxiliary process
+    /// `process`, allocated a pid past the marker process on first use.
+    /// Throw kernel::SimulationError for an unregistered processor or a
+    /// non-finite value (it has no JSON rendering).
+    void counter(const rtos::Processor& cpu, kernel::Time at,
+                 std::string_view name, double value);
+    void counter(std::string_view process, kernel::Time at,
+                 std::string_view name, double value);
 
-/// Where a task's slices live: its processor's pid, its state track and
-/// (with attribution) its jobs track. Keyed by task name — Attribution
-/// records names so its results outlive the model.
-struct Track {
-    int pid = 0;
-    int state_tid = 0;
-    int jobs_tid = 0;
+    /// Close open task segments at the trace end, emit the metadata (and,
+    /// with `attribution`, its job/chain/flow/miss events), then write the
+    /// window and the footer and flush `os`. Call once, after the last
+    /// event and while the model is still alive.
+    void finish(const Attribution* attribution,
+                const std::vector<Attribution::DeadlineMissReport>* misses);
+
+    [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
+
+private:
+    struct TaskCursor {
+        kernel::Time prev_at{};
+        rtos::TaskState prev_state = rtos::TaskState::created;
+        int pid = 0;
+        int tid = 0;
+    };
+
+    void emit(const std::string& event);
+    void flush_window();
+    void emit_attribution(
+        const Attribution& attribution,
+        const std::vector<Attribution::DeadlineMissReport>* misses);
+    [[nodiscard]] int pid_of(const rtos::Processor& cpu) const;
+    [[nodiscard]] int comm_pid() const noexcept {
+        return static_cast<int>(processors_.size()) + 1;
+    }
+    [[nodiscard]] int marker_pid() const noexcept { return comm_pid() + 1; }
+    void note_time(kernel::Time t) noexcept {
+        if (t > trace_end_) trace_end_ = t;
+    }
+
+    std::ostream& os_;
+    std::size_t window_limit_;
+    std::string window_;
+    bool first_ = true;
+    bool any_marker_ = false;
+    Stats stats_;
+    kernel::Time trace_end_{};
+
+    std::vector<const rtos::Processor*> processors_;
+    std::vector<const mcse::Relation*> relations_;
+    std::map<const rtos::Task*, TaskCursor> cursors_;
+    std::vector<std::string> counter_procs_; ///< aux counter process names
 };
-using TrackIndex = std::map<std::string, Track>;
-
-/// Emit every attribution-derived event — per-job blame slices, blocking
-/// chains + flow arrows, and (when `misses` is non-null) deadline-miss
-/// instants — through `sink`, in the deterministic order both writers
-/// share. Tasks absent from `tracks` are skipped, matching the batch
-/// exporter's historical behaviour.
-void emit_attribution(const std::function<void(std::string)>& sink,
-                      const TrackIndex& tracks, const Attribution& attribution,
-                      const std::vector<Attribution::DeadlineMissReport>* misses);
 
 } // namespace rtsc::obs::pfmt

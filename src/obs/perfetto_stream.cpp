@@ -4,22 +4,17 @@
 
 #include <atomic>
 #include <cstdio>
+#include <stdexcept>
 #include <utility>
 
 #include "kernel/report.hpp"
 #include "kernel/simulator.hpp"
-#include "obs/perfetto.hpp"
-#include "obs/perfetto_format.hpp"
 
 namespace rtsc::obs {
 
 namespace k = rtsc::kernel;
 
 namespace {
-
-bool visible_state(rtos::TaskState s) {
-    return s != rtos::TaskState::created && s != rtos::TaskState::terminated;
-}
 
 // Unique per writer so concurrent runs targeting the same output path never
 // share a spool (they would interleave events and race the final rename);
@@ -35,12 +30,10 @@ std::string unique_spool_path(const std::string& path) {
 
 PerfettoStreamWriter::PerfettoStreamWriter(std::string path, Options opts)
     : path_(std::move(path)), spool_path_(unique_spool_path(path_)),
-      opts_(opts) {
-    os_.open(spool_path_, std::ios::trunc);
-    if (!os_)
+      os_(spool_path_, std::ios::trunc), writer_(os_, opts.window_bytes) {
+    if (!os_.is_open())
         throw k::SimulationError("cannot open perfetto spool file: " +
                                  spool_path_);
-    os_ << "{\"traceEvents\": [\n";
     if (!os_)
         throw k::SimulationError("failed writing perfetto spool file: " +
                                  spool_path_);
@@ -57,61 +50,18 @@ PerfettoStreamWriter::~PerfettoStreamWriter() {
 
 void PerfettoStreamWriter::attach(rtos::Processor& cpu) {
     cpu.add_observer(*this);
-    processors_.push_back(&cpu);
+    writer_.add(cpu);
 }
 
 void PerfettoStreamWriter::attach(mcse::Relation& rel) {
     rel.add_observer(*this);
-    relations_.push_back(&rel);
-}
-
-void PerfettoStreamWriter::emit(const std::string& event) {
-    if (!first_) window_ += ",\n";
-    first_ = false;
-    window_ += event;
-    ++stats_.events;
-    stats_.window_bytes = window_.size();
-    if (window_.size() > stats_.peak_window_bytes)
-        stats_.peak_window_bytes = window_.size();
-    if (window_.size() >= opts_.window_bytes) flush_window();
-}
-
-void PerfettoStreamWriter::flush_window() {
-    if (window_.empty()) return;
-    os_ << window_;
-    stats_.spooled_bytes += window_.size();
-    ++stats_.flushes;
-    window_.clear();
-    stats_.window_bytes = 0;
-}
-
-int PerfettoStreamWriter::pid_of(const rtos::Processor& cpu) const {
-    for (std::size_t pi = 0; pi < processors_.size(); ++pi)
-        if (processors_[pi] == &cpu) return static_cast<int>(pi) + 1;
-    return 0;
+    writer_.add(rel);
 }
 
 void PerfettoStreamWriter::on_task_state(const rtos::Task& task,
                                          rtos::TaskState from,
                                          rtos::TaskState to) {
-    const k::Time at = task.processor().simulator().now();
-    note_time(at);
-    TaskCursor& cur = cursors_[&task];
-    if (!cur.seen) {
-        cur.seen = true;
-        cur.prev_at = at;
-        cur.prev_state = from;
-        cur.pid = pid_of(task.processor());
-        const auto& tasks = task.processor().tasks();
-        for (std::size_t ti = 0; ti < tasks.size(); ++ti)
-            if (tasks[ti].get() == &task) cur.tid = static_cast<int>(ti) + 1;
-    }
-    if (from == to) return; // creation announcement
-    if (visible_state(cur.prev_state) && at > cur.prev_at)
-        emit(pfmt::slice(cur.pid, cur.tid, cur.prev_at, at - cur.prev_at,
-                         "task_state", rtos::to_string(cur.prev_state)));
-    cur.prev_at = at;
-    cur.prev_state = to;
+    writer_.task_state(task.processor().simulator().now(), task, from, to);
 }
 
 void PerfettoStreamWriter::on_overhead(const rtos::Processor& cpu,
@@ -119,15 +69,7 @@ void PerfettoStreamWriter::on_overhead(const rtos::Processor& cpu,
                                        kernel::Time start,
                                        kernel::Time duration,
                                        const rtos::Task* about) {
-    note_time(start + duration);
-    if (duration.is_zero()) return;
-    const int pid = pid_of(cpu);
-    if (pid == 0) return; // overhead of an unattached processor
-    std::string args;
-    if (about != nullptr)
-        args = "{\"task\": \"" + json_escape(about->name()) + "\"}";
-    emit(pfmt::slice(pid, 0, start, duration, "rtos", rtos::to_string(kind),
-                     args));
+    writer_.overhead(cpu, kind, start, duration, about);
 }
 
 void PerfettoStreamWriter::on_access(const mcse::Relation& rel,
@@ -136,48 +78,11 @@ void PerfettoStreamWriter::on_access(const mcse::Relation& rel,
     const k::Time at = task != nullptr
                            ? task->processor().simulator().now()
                            : k::Simulator::current().now();
-    note_time(at);
-    if (!opts_.include_comms) return;
-    int tid = 0;
-    for (std::size_t ri = 0; ri < relations_.size(); ++ri)
-        if (relations_[ri] == &rel) tid = static_cast<int>(ri) + 1;
-    if (tid == 0) return;
-    std::string args = "{\"task\": \"";
-    args += task != nullptr ? json_escape(task->name()) : "<hw>";
-    args += blocked ? "\", \"blocked\": true}" : "\", \"blocked\": false}";
-    emit(pfmt::instant(comm_pid(), tid, at, 't', "comm",
-                       std::string(mcse::to_string(kind)) +
-                           (blocked ? " [blocked]" : ""),
-                       args));
+    writer_.access(at, rel, task, kind, blocked);
 }
 
 void PerfettoStreamWriter::mark(std::string category, std::string name) {
-    const k::Time at = k::Simulator::current().now();
-    note_time(at);
-    if (!opts_.include_markers) return;
-    any_marker_ = true;
-    emit(pfmt::instant(marker_pid(), 1, at, 'g', category, name));
-}
-
-void PerfettoStreamWriter::counter(const rtos::Processor& cpu, kernel::Time at,
-                                   std::string_view name, double value) {
-    const int pid = pid_of(cpu);
-    if (pid == 0)
-        throw k::SimulationError("counter() on a processor never attached "
-                                 "to this PerfettoStreamWriter");
-    emit(pfmt::counter(pid, at, name, value));
-}
-
-void PerfettoStreamWriter::counter(std::string_view process, kernel::Time at,
-                                   std::string_view name, double value) {
-    int idx = -1;
-    for (std::size_t i = 0; i < counter_procs_.size(); ++i)
-        if (counter_procs_[i] == process) idx = static_cast<int>(i);
-    if (idx < 0) {
-        idx = static_cast<int>(counter_procs_.size());
-        counter_procs_.emplace_back(process);
-    }
-    emit(pfmt::counter(marker_pid() + 1 + idx, at, name, value));
+    writer_.marker(k::Simulator::current().now(), category, name);
 }
 
 void PerfettoStreamWriter::finish(
@@ -185,72 +90,7 @@ void PerfettoStreamWriter::finish(
     const std::vector<Attribution::DeadlineMissReport>* misses) {
     if (finished_)
         throw std::logic_error("PerfettoStreamWriter::finish() called twice");
-
-    // Close every open task segment at the end of the trace, exactly where
-    // Timeline::segments closes its final segment for the batch exporter.
-    for (const rtos::Processor* cpu : processors_) {
-        for (const auto& t : cpu->tasks()) {
-            const auto it = cursors_.find(t.get());
-            if (it == cursors_.end() || !it->second.seen) continue;
-            const TaskCursor& cur = it->second;
-            const k::Time end = std::max(cur.prev_at, trace_end_);
-            if (visible_state(cur.prev_state) && end > cur.prev_at)
-                emit(pfmt::slice(cur.pid, cur.tid, cur.prev_at,
-                                 end - cur.prev_at, "task_state",
-                                 rtos::to_string(cur.prev_state)));
-        }
-    }
-
-    // Metadata last: sort-canonical comparison with the batch exporter does
-    // not care about position, and emitting here lets tid numbering for the
-    // jobs tracks use the final task count, as the batch layout does.
-    for (std::size_t pi = 0; pi < processors_.size(); ++pi) {
-        const int pid = static_cast<int>(pi) + 1;
-        const auto& tasks = processors_[pi]->tasks();
-        emit(pfmt::meta_process(pid, processors_[pi]->name()));
-        emit(pfmt::meta_thread(pid, 0, processors_[pi]->name() + ".rtos"));
-        for (std::size_t ti = 0; ti < tasks.size(); ++ti)
-            emit(pfmt::meta_thread(pid, static_cast<int>(ti) + 1,
-                                   tasks[ti]->name()));
-        if (attribution != nullptr)
-            for (std::size_t ti = 0; ti < tasks.size(); ++ti)
-                emit(pfmt::meta_thread(pid,
-                                       static_cast<int>(tasks.size() + 1 + ti),
-                                       tasks[ti]->name() + ".jobs"));
-    }
-    if (opts_.include_comms && !relations_.empty()) {
-        emit(pfmt::meta_process(comm_pid(), "comm"));
-        for (std::size_t ri = 0; ri < relations_.size(); ++ri)
-            emit(pfmt::meta_thread(comm_pid(), static_cast<int>(ri) + 1,
-                                   relations_[ri]->name() + " (" +
-                                       std::string(
-                                           relations_[ri]->type_name()) +
-                                       ")"));
-    }
-    if (opts_.include_markers && any_marker_)
-        emit(pfmt::meta_process(marker_pid(), "events"));
-    for (std::size_t ci = 0; ci < counter_procs_.size(); ++ci)
-        emit(pfmt::meta_process(marker_pid() + 1 + static_cast<int>(ci),
-                                counter_procs_[ci]));
-
-    if (attribution != nullptr) {
-        pfmt::TrackIndex tracks;
-        for (std::size_t pi = 0; pi < processors_.size(); ++pi) {
-            const auto& tasks = processors_[pi]->tasks();
-            for (std::size_t ti = 0; ti < tasks.size(); ++ti)
-                tracks.emplace(tasks[ti]->name(),
-                               pfmt::Track{static_cast<int>(pi) + 1,
-                                           static_cast<int>(ti) + 1,
-                                           static_cast<int>(tasks.size() + 1 +
-                                                            ti)});
-        }
-        pfmt::emit_attribution([this](std::string e) { emit(e); }, tracks,
-                               *attribution, misses);
-    }
-
-    flush_window();
-    os_ << "\n]}\n";
-    os_.flush();
+    writer_.finish(attribution, misses);
     if (!os_)
         throw k::SimulationError("failed writing perfetto spool file: " +
                                  spool_path_);

@@ -10,17 +10,17 @@
 // few tens of kilobytes (tests/obs/test_perfetto_stream.cpp pins the peak
 // window occupancy).
 //
-// Equivalence contract: for one run observed by both a Recorder and a
-// PerfettoStreamWriter (same processors/relations attached, markers fanned
-// out through trace::MarkerTee), the streamed file contains exactly the
-// same events as write_perfetto_file's, byte-for-byte per event — only the
-// event *order* differs (the stream interleaves tracks as time advances).
-// Canonically sorting both files' event lines yields identical bytes; CI
-// checks this for both engines with skip-ahead on and off. Event strings
-// come from obs::pfmt, shared with the batch writer, so the two cannot
-// drift. Counter tracks (see counter() and obs::MetricsSampler) are the
-// deliberate exception: they exist only in streamed exports, so a sampled
-// export is written as a separate artifact, not sort-compared.
+// Layout: the events are rendered by obs::pfmt::EventWriter, the same
+// writer obs::write_perfetto_json replays a trace::Recorder through. For one
+// run observed by both a Recorder and a PerfettoStreamWriter (same
+// processors/relations attached, markers fanned out through
+// trace::MarkerTee), the streamed file therefore holds exactly the batch
+// export's events; only the event *order* differs (the stream interleaves
+// tracks as time advances). Canonically sorting both files' event lines
+// yields identical bytes; tests and CI check this on both engines with
+// skip-ahead on and off. Counter tracks (see counter() and
+// obs::MetricsSampler) exist only in streamed exports, so a sampled export
+// is written as a separate artifact, not sort-compared.
 //
 // Spool format: events are appended to `path + ".spool-<pid>-<n>"`
 // (spool_path(); unique per writer, so concurrent runs targeting the same
@@ -36,7 +36,6 @@
 
 #include <cstddef>
 #include <fstream>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -44,6 +43,7 @@
 #include "kernel/time.hpp"
 #include "mcse/relation.hpp"
 #include "obs/attribution.hpp"
+#include "obs/perfetto_format.hpp"
 #include "rtos/processor.hpp"
 #include "rtos/task.hpp"
 #include "trace/marker.hpp"
@@ -58,17 +58,9 @@ public:
         /// Flush the in-memory window to the spool once it reaches this many
         /// bytes. Peak residency stays below window_bytes + one event.
         std::size_t window_bytes = 64 * 1024;
-        bool include_comms = true;
-        bool include_markers = true;
     };
 
-    struct Stats {
-        std::size_t events = 0;            ///< events emitted so far
-        std::size_t window_bytes = 0;      ///< current window occupancy
-        std::size_t peak_window_bytes = 0; ///< high-water mark of the window
-        std::size_t flushes = 0;           ///< window spills to disk
-        std::size_t spooled_bytes = 0;     ///< bytes written to the spool
-    };
+    using Stats = pfmt::EventWriter::Stats;
 
     /// Opens a writer-unique spool file (see spool_path()) and emits the
     /// JSON header. Throws kernel::SimulationError when the spool cannot be
@@ -104,14 +96,20 @@ public:
 
     /// Emit one counter sample on `cpu`'s process track. The value renders
     /// with %.17g; `at` must be non-decreasing per counter name (the
-    /// validator checks). Throws when `cpu` was never attached.
+    /// validator checks). Throws kernel::SimulationError when `cpu` was
+    /// never attached or `value` is NaN or infinite.
     void counter(const rtos::Processor& cpu, kernel::Time at,
-                 std::string_view name, double value);
+                 std::string_view name, double value) {
+        writer_.counter(cpu, at, name, value);
+    }
 
     /// Emit one counter sample on the auxiliary process `process` (e.g.
     /// "kernel"), allocated a pid past the marker process on first use.
+    /// Throws kernel::SimulationError when `value` is NaN or infinite.
     void counter(std::string_view process, kernel::Time at,
-                 std::string_view name, double value);
+                 std::string_view name, double value) {
+        writer_.counter(process, at, name, value);
+    }
 
     /// Close open task segments at the end of the trace, emit process/thread
     /// metadata (plus attribution events when given), write the footer and
@@ -123,7 +121,9 @@ public:
                     nullptr);
 
     [[nodiscard]] bool finished() const noexcept { return finished_; }
-    [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
+    [[nodiscard]] const Stats& stats() const noexcept {
+        return writer_.stats();
+    }
     [[nodiscard]] const std::string& path() const noexcept { return path_; }
     /// Where events spool until finish() renames them onto path().
     [[nodiscard]] const std::string& spool_path() const noexcept {
@@ -131,40 +131,11 @@ public:
     }
 
 private:
-    struct TaskCursor {
-        kernel::Time prev_at{};
-        rtos::TaskState prev_state = rtos::TaskState::created;
-        bool seen = false;
-        int pid = 0;
-        int tid = 0;
-    };
-
-    void emit(const std::string& event);
-    void flush_window();
-    [[nodiscard]] int pid_of(const rtos::Processor& cpu) const;
-    [[nodiscard]] int comm_pid() const noexcept {
-        return static_cast<int>(processors_.size()) + 1;
-    }
-    [[nodiscard]] int marker_pid() const noexcept { return comm_pid() + 1; }
-    void note_time(kernel::Time t) noexcept {
-        if (t > trace_end_) trace_end_ = t;
-    }
-
     std::string path_;
     std::string spool_path_;
-    Options opts_;
     std::ofstream os_;
-    std::string window_;
-    bool first_ = true;
+    pfmt::EventWriter writer_; ///< writes into os_, so declared after it
     bool finished_ = false;
-    bool any_marker_ = false;
-    Stats stats_;
-    kernel::Time trace_end_{};
-
-    std::vector<rtos::Processor*> processors_;
-    std::vector<mcse::Relation*> relations_;
-    std::map<const rtos::Task*, TaskCursor> cursors_;
-    std::vector<std::string> counter_procs_; ///< aux counter process names
 };
 
 } // namespace rtsc::obs

@@ -1,7 +1,8 @@
 #pragma once
 // Offline trace query layer behind tools/trace_query: loads a Perfetto
-// export written by obs::write_perfetto_json (with attribution enabled) and
-// answers "why was this task late?" without re-running the simulation.
+// export written by obs::write_perfetto_json or obs::PerfettoStreamWriter
+// (with attribution enabled; event order does not matter) and answers
+// "why was this task late?" without re-running the simulation.
 //
 // The loader understands exactly the event schema the exporter writes:
 //   cat "job"            -> JobRow    (per-job blame decomposition, args in

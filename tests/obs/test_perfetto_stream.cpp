@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -19,7 +20,9 @@
 #include "obs/json.hpp"
 #include "obs/perfetto.hpp"
 #include "obs/perfetto_stream.hpp"
+#include "obs/attribution.hpp"
 #include "rtos/processor.hpp"
+#include "trace/constraints.hpp"
 #include "trace/marker.hpp"
 #include "trace/recorder.hpp"
 
@@ -61,11 +64,15 @@ std::vector<std::string> canonical_lines_of(const std::string& text) {
 }
 
 /// Preemption + comm + marker scenario run once, observed by a Recorder
-/// (batch export) and a PerfettoStreamWriter at the same time.
+/// (batch export) and a PerfettoStreamWriter at the same time. Both exports
+/// carry attribution and a deadline-miss report, and a late marker stamped
+/// after the last state change makes the trace end a marker time, so the
+/// never-woken task's final segment closes there.
 struct DualExport {
     std::string batch_text;
     o::PerfettoStreamWriter::Stats stats;
     std::string stream_path;
+    std::size_t misses = 0;
 
     DualExport(r::EngineKind engine, bool skip_ahead,
                const std::string& stream_file,
@@ -83,26 +90,39 @@ struct DualExport {
         m::Event irq("irq", m::EventPolicy::boolean);
         rec.attach(irq);
         stream.attach(irq);
+        o::Attribution attr;
+        attr.attach(cpu);
+        tr::ConstraintMonitor mon;
         tr::MarkerTee markers;
         markers.add(rec);
         markers.add(stream);
-        cpu.create_task({.name = "H", .priority = 5}, [&](r::Task& self) {
-            irq.await();
-            self.compute(20_us);
-        });
+        m::Event never("never", m::EventPolicy::boolean);
+        r::Task& high =
+            cpu.create_task({.name = "H", .priority = 5}, [&](r::Task& self) {
+                irq.await();
+                self.compute(20_us);
+            });
         cpu.create_task({.name = "L", .priority = 1},
                         [](r::Task& self) { self.compute(100_us); });
+        cpu.create_task({.name = "W", .priority = 3},
+                        [&](r::Task&) { never.await(); });
+        mon.require_response(high, 25_us, "H-deadline");
         sim.spawn("hw", [&] {
             k::wait(50_us);
             irq.signal();
             markers.mark("fault", "crash:demo");
+            k::wait(1_ms);
+            markers.mark("watchdog", "late");
         });
         sim.run();
 
+        const auto reports = attr.miss_reports(mon);
+        misses = reports.size();
         std::ostringstream os;
-        o::write_perfetto_json(os, rec);
+        o::write_perfetto_json(os, rec,
+                               {.attribution = &attr, .misses = &reports});
         batch_text = os.str();
-        stream.finish();
+        stream.finish(&attr, &reports);
         stats = stream.stats();
     }
 };
@@ -119,6 +139,23 @@ TEST(PerfettoStreamTest, MatchesBatchExportAfterCanonicalSort) {
             EXPECT_EQ(canonical_lines_of(ex.batch_text),
                       canonical_lines("stream_eq.perfetto.json"))
                 << "engine=" << static_cast<int>(engine) << " skip=" << skip;
+            // The widened inputs really reach both exports: job slices, the
+            // miss report, and W's waiting segment closed at the late
+            // marker (1050 us).
+            EXPECT_EQ(ex.misses, 1u);
+            EXPECT_NE(ex.batch_text.find("\"cat\": \"job\""),
+                      std::string::npos);
+            EXPECT_NE(ex.batch_text.find("\"cat\": \"deadline_miss\""),
+                      std::string::npos);
+            double w_end = 0;
+            const auto root = o::json::parse(ex.batch_text);
+            for (const auto& ev : root->get("traceEvents")->arr)
+                if (ev->get("cat") != nullptr &&
+                    ev->get("cat")->str == "task_state" &&
+                    ev->get("tid")->num == 3.0)
+                    w_end = std::max(w_end, ev->get("ts")->num +
+                                                ev->get("dur")->num);
+            EXPECT_DOUBLE_EQ(w_end, 1050.0);
         }
     }
     std::remove("stream_eq.perfetto.json");
@@ -242,6 +279,24 @@ TEST(PerfettoStreamTest, CounterOnUnattachedProcessorThrows) {
     stream.counter(attached, 0_us, "x", 1.0); // fine
     stream.finish();
     std::remove("stream_counter.perfetto.json");
+}
+
+TEST(PerfettoStreamTest, CounterRejectsNonFiniteValues) {
+    // %.17g would render these as bare nan/inf: invalid JSON.
+    k::Simulator sim;
+    r::Processor cpu("cpu");
+    o::PerfettoStreamWriter stream("stream_nonfinite.perfetto.json");
+    stream.attach(cpu);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(stream.counter(cpu, 0_us, "x", nan), k::SimulationError);
+    EXPECT_THROW(stream.counter(cpu, 0_us, "x", inf), k::SimulationError);
+    EXPECT_THROW(stream.counter("kernel", 0_us, "y", -inf),
+                 k::SimulationError);
+    stream.counter(cpu, 0_us, "x", 1.0); // fine
+    stream.finish();
+    EXPECT_EQ(stream.stats().events, 3u); // one sample + process/thread names
+    std::remove("stream_nonfinite.perfetto.json");
 }
 
 TEST(MarkerTeeTest, FansOutToAllSinks) {
