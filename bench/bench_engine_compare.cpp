@@ -10,81 +10,19 @@
 #include <benchmark/benchmark.h>
 
 #include <iostream>
-#include <memory>
-#include <vector>
 
-#include "kernel/simulator.hpp"
-#include "mcse/event.hpp"
-#include "rtos/processor.hpp"
+#include "token_ring.hpp"
 
-namespace k = rtsc::kernel;
 namespace r = rtsc::rtos;
-namespace m = rtsc::mcse;
-using k::Time;
-using namespace rtsc::kernel::time_literals;
+using rtsc::bench::run_token_ring;
 
 namespace {
-
-struct RunStats {
-    std::uint64_t activations = 0;
-    std::uint64_t dispatches = 0;
-    Time end{};
-};
-
-/// Token-ring workload: n tasks pass a token around through counter events;
-/// every hop is one RTOS block + one wake + one dispatch. A periodic HW
-/// interrupt preempts the ring to exercise the preemption path too.
-RunStats run_ring(r::EngineKind kind, int n_tasks, int rounds) {
-    k::Simulator sim;
-    r::Processor cpu("cpu", std::make_unique<r::PriorityPreemptivePolicy>(), kind);
-    cpu.set_overheads(r::RtosOverheads::uniform(1_us));
-
-    std::vector<std::unique_ptr<m::Event>> ring;
-    ring.reserve(static_cast<std::size_t>(n_tasks));
-    for (int i = 0; i < n_tasks; ++i)
-        ring.push_back(std::make_unique<m::Event>("ev" + std::to_string(i),
-                                                  m::EventPolicy::counter));
-    m::Event irq("irq", m::EventPolicy::counter);
-
-    for (int i = 0; i < n_tasks; ++i) {
-        cpu.create_task(
-            {.name = "t" + std::to_string(i), .priority = 1},
-            [&, i, rounds](r::Task& self) {
-                for (int round = 0; round < rounds; ++round) {
-                    ring[static_cast<std::size_t>(i)]->await();
-                    self.compute(5_us);
-                    ring[static_cast<std::size_t>((i + 1) % n_tasks)]->signal();
-                }
-            });
-    }
-    cpu.create_task({.name = "isr", .priority = 9}, [&](r::Task& self) {
-        for (;;) {
-            irq.await();
-            self.compute(2_us);
-        }
-    });
-    sim.spawn("hw", [&] {
-        for (;;) {
-            k::wait(100_us);
-            irq.signal();
-        }
-    });
-    sim.spawn("starter", [&] { ring[0]->signal(); });
-
-    sim.run_until(Time::ms(static_cast<Time::rep>(rounds) * 2u));
-
-    RunStats stats;
-    stats.activations = sim.process_activations();
-    stats.dispatches = cpu.engine().phase_stats().dispatches;
-    stats.end = sim.now();
-    return stats;
-}
 
 void BM_Engine(benchmark::State& state, r::EngineKind kind) {
     const int n_tasks = static_cast<int>(state.range(0));
     const int rounds = 200;
-    RunStats last;
-    for (auto _ : state) last = run_ring(kind, n_tasks, rounds);
+    rtsc::bench::RingStats last;
+    for (auto _ : state) last = run_token_ring(kind, n_tasks, rounds);
     state.counters["kernel_activations"] =
         static_cast<double>(last.activations);
     state.counters["rtos_dispatches"] = static_cast<double>(last.dispatches);
@@ -111,8 +49,8 @@ int main(int argc, char** argv) {
                  "behaviour, different simulation cost) ===\n";
     std::cout << "tasks  proc_activations  thread_activations  ratio\n";
     for (const int n : {2, 4, 8, 16, 32}) {
-        const auto proc = run_ring(r::EngineKind::procedure_calls, n, 200);
-        const auto thrd = run_ring(r::EngineKind::rtos_thread, n, 200);
+        const auto proc = run_token_ring(r::EngineKind::procedure_calls, n, 200);
+        const auto thrd = run_token_ring(r::EngineKind::rtos_thread, n, 200);
         std::cout << "  " << n << "        " << proc.activations
                   << "              " << thrd.activations << "        "
                   << static_cast<double>(thrd.activations) /

@@ -62,92 +62,25 @@ public:
             }
         }
         hw_wake().notify();
-        record(caller, AccessKind::signal_op, kernel::Time::zero(), false);
+        record(caller, AccessKind::signal_op);
     }
 
     /// Wait for (and consume) one occurrence. A memorized occurrence returns
     /// immediately; otherwise the caller blocks (software tasks enter the
     /// RTOS Waiting state, hardware processes block at kernel level).
-    void await() {
-        rtos::Task* task = rtos::current_task();
-        const kernel::Time started = now();
-        if (task != nullptr) {
-            if (try_consume()) {
-                record(task, AccessKind::await_op, kernel::Time::zero(), false);
-                return;
-            }
-            TaskWaiter w{task};
-            block_task(w, waiters_, rtos::TaskState::waiting);
-            record(task, AccessKind::await_op, now() - started, true);
-            return;
-        }
-        // Hardware process.
-        bool blocked = false;
-        if (policy_ == EventPolicy::fugitive) {
-            blocked = true;
-            kernel::wait(hw_wake());
-        } else {
-            while (!try_consume()) {
-                blocked = true;
-                kernel::wait(hw_wake());
-            }
-        }
-        record(nullptr, AccessKind::await_op,
-               blocked ? now() - started : kernel::Time::zero(), blocked);
-    }
+    void await() { (void)await_until(std::nullopt); }
 
     /// Bounded wait: like await(), but gives up after `timeout`. Returns
     /// whether an occurrence was consumed. (Timed receives are a standard
     /// RTOS primitive; extension over the paper's relation set.)
     [[nodiscard]] bool await_for(kernel::Time timeout) {
-        rtos::Task* task = rtos::current_task();
-        const kernel::Time started = now();
-        if (task != nullptr) {
-            if (try_consume()) {
-                record(task, AccessKind::await_op, kernel::Time::zero(), false);
-                return true;
-            }
-            TaskWaiter w{task};
-            waiters_.push_back(&w);
-            WaiterGuard guard(w, waiters_); // unwind/timeout-safe dereg
-            rtos::SchedulerEngine& eng = task->processor().engine();
-            eng.set_block_context(this);
-            (void)eng.block_timed(*task, rtos::TaskState::waiting, timeout);
-            // A delivery racing the timeout at the same instant wins: the
-            // occurrence was consumed on this waiter's behalf.
-            record(task, AccessKind::await_op, now() - started, true);
-            return w.delivered;
-        }
-        // Hardware process: kernel-level timed wait.
-        bool blocked = false;
-        const kernel::Time deadline = started + timeout;
-        for (;;) {
-            if (policy_ != EventPolicy::fugitive && try_consume()) break;
-            const kernel::Time remaining =
-                kernel::Time::sat_sub(deadline, now());
-            if (remaining.is_zero()) {
-                record(nullptr, AccessKind::await_op,
-                       blocked ? now() - started : kernel::Time::zero(), blocked);
-                return false;
-            }
-            blocked = true;
-            const auto reason =
-                kernel::Simulator::current().wait(remaining, hw_wake());
-            if (policy_ == EventPolicy::fugitive &&
-                reason == kernel::Process::WakeReason::event)
-                break;
-        }
-        record(nullptr, AccessKind::await_op,
-               blocked ? now() - started : kernel::Time::zero(), blocked);
-        return true;
+        return await_until(now() + timeout);
     }
 
     /// Non-blocking variant: consume a memorized occurrence if present.
     [[nodiscard]] bool try_await() {
         const bool ok = try_consume();
-        if (ok)
-            record(rtos::current_task(), AccessKind::await_op,
-                   kernel::Time::zero(), false);
+        if (ok) record(rtos::current_task(), AccessKind::await_op);
         return ok;
     }
 
@@ -166,6 +99,34 @@ public:
     }
 
 private:
+    /// The one await body. A software task without a memorized occurrence
+    /// always suspends, even on an expired deadline (a zero-timeout
+    /// await_for passes through the RTOS once); a hardware process gives up
+    /// without waiting. A fugitive occurrence is only caught by a waiter.
+    bool await_until(const Deadline& deadline) {
+        Access a(*this);
+        bool got = true;
+        if (a.task != nullptr) {
+            if (!try_consume()) {
+                TaskWaiter w{a.task};
+                got = block_until(a, w, waiters_, rtos::TaskState::waiting,
+                                  deadline);
+            }
+        } else {
+            for (;;) {
+                if (policy_ != EventPolicy::fugitive && try_consume()) break;
+                if (expired(deadline)) {
+                    got = false;
+                    break;
+                }
+                if (hw_wait(a, deadline) && policy_ == EventPolicy::fugitive)
+                    break;
+            }
+        }
+        record(a, AccessKind::await_op);
+        return got;
+    }
+
     [[nodiscard]] bool try_consume() noexcept {
         if (pending_ == 0) return false;
         --pending_;

@@ -41,63 +41,28 @@ public:
     /// no try_read or later-arriving reader can barge in between its wake-up
     /// and resumption.
     void write(T msg) {
-        rtos::Task* task = rtos::current_task();
-        const kernel::Time started = now();
-        bool blocked = false;
-        if (task != nullptr) {
-            while (full()) {
-                blocked = true;
-                TaskWaiter w{task};
-                block_task(w, write_waiters_, rtos::TaskState::waiting);
-            }
-        } else {
-            while (full()) {
-                blocked = true;
-                kernel::wait(hw_wake());
+        Access a(*this);
+        while (full()) {
+            if (a.task != nullptr) {
+                TaskWaiter w{a.task};
+                block_until(a, w, write_waiters_, rtos::TaskState::waiting,
+                            std::nullopt);
+            } else {
+                hw_wait(a, std::nullopt);
             }
         }
         // Fault injection: the sender believes the message went out; the
         // queue never sees it.
-        if (lose_transfer()) {
-            record(task, AccessKind::write_op,
-                   blocked ? now() - started : kernel::Time::zero(), blocked);
-            return;
+        if (!lose_transfer()) {
+            push(std::move(msg));
+            deliver_reader();
+            hw_wake().notify();
         }
-        push(std::move(msg));
-        deliver_reader();
-        hw_wake().notify();
-        record(task, AccessKind::write_op,
-               blocked ? now() - started : kernel::Time::zero(), blocked);
+        record(a, AccessKind::write_op);
     }
 
     /// Remove the oldest message, blocking while the queue is empty.
-    [[nodiscard]] T read() {
-        rtos::Task* task = rtos::current_task();
-        const kernel::Time started = now();
-        bool blocked = false;
-        if (task != nullptr) {
-            if (buf_.empty()) {
-                blocked = true;
-                ReadWaiter w{{task}, {}};
-                MsgGuard msg_guard(*this, w); // unwind-safe: re-queue the msg
-                block_task(w, read_waiters_, rtos::TaskState::waiting);
-                msg_guard.armed = false;
-                record(task, AccessKind::read_op, now() - started, true);
-                return std::move(*w.slot);
-            }
-        } else {
-            while (buf_.empty()) {
-                blocked = true;
-                kernel::wait(hw_wake());
-            }
-        }
-        T msg = pop();
-        wake_one(write_waiters_);
-        hw_wake().notify();
-        record(task, AccessKind::read_op,
-               blocked ? now() - started : kernel::Time::zero(), blocked);
-        return msg;
-    }
+    [[nodiscard]] T read() { return *read_until(std::nullopt); }
 
     /// Bounded-wait read: like read(), but gives up after `timeout`.
     /// Returns whether a message was received. A delivery racing the
@@ -106,73 +71,21 @@ public:
     /// (Extension: timed receives are a standard RTOS message-queue
     /// primitive.)
     [[nodiscard]] bool read_for(T& out, kernel::Time timeout) {
-        rtos::Task* task = rtos::current_task();
-        const kernel::Time started = now();
-        const kernel::Time deadline = started + timeout;
-        bool blocked = false;
-        if (task != nullptr) {
-            if (buf_.empty()) {
-                ReadWaiter w{{task}, {}};
-                read_waiters_.push_back(&w);
-                WaiterGuard guard(w, read_waiters_); // unwind/timeout-safe dereg
-                MsgGuard msg_guard(*this, w);        // unwind-safe: re-queue
-                while (!w.delivered) {
-                    const kernel::Time remaining =
-                        kernel::Time::sat_sub(deadline, now());
-                    if (remaining.is_zero()) {
-                        record(task, AccessKind::read_op,
-                               blocked ? now() - started : kernel::Time::zero(),
-                               blocked);
-                        return false;
-                    }
-                    blocked = true;
-                    rtos::SchedulerEngine& eng = task->processor().engine();
-                    eng.set_block_context(this);
-                    (void)eng.block_timed(*task, rtos::TaskState::waiting,
-                                          remaining);
-                    // If a write delivered while the timeout wake was in
-                    // flight, the loop condition spots it: delivery wins.
-                }
-                msg_guard.armed = false;
-                out = std::move(*w.slot);
-                record(task, AccessKind::read_op, now() - started, true);
-                return true;
-            }
-        } else {
-            while (buf_.empty()) {
-                const kernel::Time remaining =
-                    kernel::Time::sat_sub(deadline, now());
-                if (remaining.is_zero()) {
-                    record(nullptr, AccessKind::read_op,
-                           blocked ? now() - started : kernel::Time::zero(),
-                           blocked);
-                    return false;
-                }
-                blocked = true;
-                (void)kernel::Simulator::current().wait(remaining, hw_wake());
-            }
-        }
-        out = pop();
-        wake_one(write_waiters_);
-        hw_wake().notify();
-        record(task, AccessKind::read_op,
-               blocked ? now() - started : kernel::Time::zero(), blocked);
-        return true;
+        std::optional<T> msg = read_until(now() + timeout);
+        if (msg) out = std::move(*msg);
+        return msg.has_value();
     }
 
     /// Non-blocking write; returns false when full.
     [[nodiscard]] bool try_write(T msg) {
         if (full()) return false;
-        if (lose_transfer()) {
-            record(rtos::current_task(), AccessKind::write_op,
-                   kernel::Time::zero(), false);
-            return true; // the sender believes it succeeded
+        // A lost message still reports success: the sender believes it went out.
+        if (!lose_transfer()) {
+            push(std::move(msg));
+            deliver_reader();
+            hw_wake().notify();
         }
-        push(std::move(msg));
-        deliver_reader();
-        hw_wake().notify();
-        record(rtos::current_task(), AccessKind::write_op, kernel::Time::zero(),
-               false);
+        record(rtos::current_task(), AccessKind::write_op);
         return true;
     }
 
@@ -184,8 +97,7 @@ public:
         out = pop();
         wake_one(write_waiters_);
         hw_wake().notify();
-        record(rtos::current_task(), AccessKind::read_op, kernel::Time::zero(),
-               false);
+        record(rtos::current_task(), AccessKind::read_op);
         return true;
     }
 
@@ -211,22 +123,52 @@ private:
         std::optional<T> slot;
     };
 
+    /// The one read body. A task reader with an empty buffer registers a
+    /// ReadWaiter and is handed its message by reservation (deliver_reader);
+    /// a hardware reader re-checks the buffer after every notification.
+    /// Neither suspends once the deadline has passed.
+    std::optional<T> read_until(const Deadline& deadline) {
+        Access a(*this);
+        std::optional<T> msg;
+        if (a.task != nullptr && buf_.empty()) {
+            if (!expired(deadline)) {
+                ReadWaiter w{{a.task}, {}};
+                MsgGuard msg_guard(*this, w); // unwind-safe: re-queue the msg
+                if (block_until(a, w, read_waiters_, rtos::TaskState::waiting,
+                                deadline)) {
+                    msg_guard.armed = false;
+                    msg = std::move(w.slot);
+                }
+            }
+            record(a, AccessKind::read_op);
+            return msg;
+        }
+        while (buf_.empty()) {
+            if (expired(deadline)) {
+                record(a, AccessKind::read_op);
+                return msg;
+            }
+            hw_wait(a, deadline);
+        }
+        msg = pop();
+        wake_one(write_waiters_);
+        hw_wake().notify();
+        record(a, AccessKind::read_op);
+        return msg;
+    }
+
     /// Hand the oldest buffered message to the oldest live task reader, if
-    /// both exist: pop it into the waiter's slot, mark it delivered and make
-    /// it ready. Freeing the buffer slot may in turn admit a blocked writer.
-    /// Only read()/read_for() register waiters in read_waiters_, so the
-    /// downcast is safe.
+    /// both exist: pop it into the waiter's slot and deliver it. Freeing the
+    /// buffer slot may in turn admit a blocked writer. Only read_until
+    /// registers waiters in read_waiters_, so the downcast is safe.
     void deliver_reader() {
         bool popped = false;
-        while (!buf_.empty() && !read_waiters_.empty()) {
-            TaskWaiter* w = read_waiters_.front();
-            read_waiters_.pop_front();
-            if (w->task->killed() || w->task->crashed() || w->task->terminated())
-                continue;
+        while (!buf_.empty()) {
+            TaskWaiter* w = take_waiter(read_waiters_);
+            if (w == nullptr) break;
             static_cast<ReadWaiter*>(w)->slot = pop();
             popped = true;
-            w->delivered = true;
-            w->task->processor().engine().make_ready(*w->task);
+            deliver(*w);
         }
         if (popped) {
             wake_one(write_waiters_);

@@ -42,31 +42,7 @@ public:
     /// waiter receives its unit by *reservation*: release() decrements the
     /// count on the waiter's behalf before waking it, so no try_acquire or
     /// later-arriving caller can barge in between wake-up and resumption.
-    void acquire() {
-        rtos::Task* task = rtos::current_task();
-        const kernel::Time started = now();
-        bool blocked = false;
-        if (task != nullptr) {
-            if (count_ == 0) {
-                blocked = true;
-                TaskWaiter w{task};
-                UnitGuard unit(*this, w); // unwind-safe: never leak the unit
-                block_task(w, waiters_, rtos::TaskState::waiting);
-                unit.armed = false; // delivery reserved our unit; consume it
-            } else {
-                take_unit();
-                notify_acquire(*task);
-            }
-        } else {
-            while (count_ == 0) {
-                blocked = true;
-                kernel::wait(hw_wake());
-            }
-            take_unit();
-        }
-        record(task, AccessKind::lock_op,
-               blocked ? now() - started : kernel::Time::zero(), blocked);
-    }
+    void acquire() { (void)acquire_until(std::nullopt); }
 
     /// Bounded-wait acquire: gives up after `timeout`; returns whether a
     /// unit was taken. A delivery racing the deadline at the same instant
@@ -74,56 +50,7 @@ public:
     /// kernel's wait(Time, Event&) tie rule. (Extension: timed acquires are
     /// a standard RTOS semaphore primitive.)
     [[nodiscard]] bool acquire_for(kernel::Time timeout) {
-        rtos::Task* task = rtos::current_task();
-        const kernel::Time started = now();
-        const kernel::Time deadline = started + timeout;
-        bool blocked = false;
-        if (task != nullptr) {
-            if (count_ == 0) {
-                TaskWaiter w{task};
-                waiters_.push_back(&w);
-                WaiterGuard guard(w, waiters_); // unwind/timeout-safe dereg
-                UnitGuard unit(*this, w);       // unwind-safe: return the unit
-                while (!w.delivered) {
-                    const kernel::Time remaining =
-                        kernel::Time::sat_sub(deadline, now());
-                    if (remaining.is_zero()) {
-                        record(task, AccessKind::lock_op,
-                               blocked ? now() - started : kernel::Time::zero(),
-                               blocked);
-                        return false;
-                    }
-                    blocked = true;
-                    rtos::SchedulerEngine& eng = task->processor().engine();
-                    eng.set_block_context(this);
-                    (void)eng.block_timed(*task, rtos::TaskState::waiting,
-                                          remaining);
-                    // If a release() delivered while the timeout wake was in
-                    // flight, the loop condition spots it: delivery wins.
-                }
-                unit.armed = false;
-            } else {
-                take_unit();
-                notify_acquire(*task);
-            }
-        } else {
-            while (count_ == 0) {
-                const kernel::Time remaining =
-                    kernel::Time::sat_sub(deadline, now());
-                if (remaining.is_zero()) {
-                    record(nullptr, AccessKind::lock_op,
-                           blocked ? now() - started : kernel::Time::zero(),
-                           blocked);
-                    return false;
-                }
-                blocked = true;
-                (void)kernel::Simulator::current().wait(remaining, hw_wake());
-            }
-            take_unit();
-        }
-        record(task, AccessKind::lock_op,
-               blocked ? now() - started : kernel::Time::zero(), blocked);
-        return true;
+        return acquire_until(now() + timeout);
     }
 
     /// Take one unit if available; never blocks. Units already reserved for
@@ -133,8 +60,7 @@ public:
         if (count_ == 0) return false;
         take_unit();
         if (rtos::Task* task = rtos::current_task()) notify_acquire(*task);
-        record(rtos::current_task(), AccessKind::lock_op, kernel::Time::zero(),
-               false);
+        record(rtos::current_task(), AccessKind::lock_op);
         return true;
     }
 
@@ -151,8 +77,7 @@ public:
         }
         deliver_one();
         hw_wake().notify();
-        record(rtos::current_task(), AccessKind::unlock_op,
-               kernel::Time::zero(), false);
+        record(rtos::current_task(), AccessKind::unlock_op);
     }
 
     /// RAII guard: acquire on construction, release on destruction.
@@ -177,35 +102,55 @@ public:
     }
 
 private:
+    /// The one acquire body. A blocked task waiter receives its unit by
+    /// reservation (deliver_one); a hardware caller re-checks the count
+    /// after every notification. Neither suspends once the deadline has
+    /// passed.
+    bool acquire_until(const Deadline& deadline) {
+        Access a(*this);
+        bool got = true;
+        if (a.task != nullptr && count_ == 0) {
+            got = false;
+            if (!expired(deadline)) {
+                TaskWaiter w{a.task};
+                UnitGuard unit(*this, w); // unwind-safe: never leak the unit
+                got = block_until(a, w, waiters_, rtos::TaskState::waiting,
+                                  deadline);
+                unit.armed = false; // a delivery reserved our unit; consume it
+            }
+        } else {
+            while (count_ == 0) {
+                if (expired(deadline)) {
+                    got = false;
+                    break;
+                }
+                hw_wait(a, deadline);
+            }
+            if (got) {
+                take_unit();
+                if (a.task != nullptr) notify_acquire(*a.task);
+            }
+        }
+        record(a, AccessKind::lock_op);
+        return got;
+    }
+
     void take_unit() {
         --count_;
         account_zero();
     }
 
     /// Reserve one available unit for one live task waiter (if both exist):
-    /// decrement the count on the waiter's behalf, mark it delivered and make
-    /// it ready. FIFO order serves the front of the queue; priority order the
-    /// best effective priority.
+    /// decrement the count on the waiter's behalf and deliver it. FIFO order
+    /// serves the front of the queue; priority order the best effective
+    /// priority. Ownership of the unit transfers at the reservation instant.
     void deliver_one() {
-        std::erase_if(waiters_, [](TaskWaiter* w) {
-            return w->task->killed() || w->task->crashed() || w->task->terminated();
-        });
-        if (count_ == 0 || waiters_.empty()) return;
-        auto it = waiters_.begin();
-        if (order_ == WakeOrder::priority)
-            it = std::max_element(
-                waiters_.begin(), waiters_.end(),
-                [](TaskWaiter* a, TaskWaiter* b) {
-                    return a->task->effective_priority() <
-                           b->task->effective_priority();
-                });
-        TaskWaiter* w = *it;
-        waiters_.erase(it);
+        if (count_ == 0) return;
+        TaskWaiter* w = take_waiter(waiters_, order_ == WakeOrder::priority);
+        if (w == nullptr) return;
         take_unit();
-        w->delivered = true;
-        // Ownership of the unit transfers at the reservation instant.
         notify_acquire(*w->task);
-        w->task->processor().engine().make_ready(*w->task);
+        deliver(*w);
     }
 
     void notify_acquire(rtos::Task& task) {

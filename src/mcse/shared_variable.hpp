@@ -89,8 +89,7 @@ public:
         }
         ~Guard() {
             sv_.unlock();
-            sv_.record(rtos::current_task(), AccessKind::unlock_op,
-                       kernel::Time::zero(), false);
+            sv_.record(rtos::current_task(), AccessKind::unlock_op);
         }
         Guard(const Guard&) = delete;
         Guard& operator=(const Guard&) = delete;
@@ -129,33 +128,27 @@ private:
     /// blocked (including the re-dispatch latency after the resource was
     /// released).
     LockOutcome lock() {
-        rtos::Task* task = rtos::current_task();
-        const kernel::Time entered = now();
-        bool blocked = false;
-        if (task != nullptr) {
-            while (locked_) {
-                blocked = true;
-                apply_inheritance(*task);
-                TaskWaiter w{task};
-                block_task(w, waiters_, rtos::TaskState::waiting_resource);
+        Access a(*this);
+        while (locked_) {
+            if (a.task == nullptr) {
+                hw_wait(a, std::nullopt);
+                continue;
             }
-            locked_ = true;
-            owner_ = task;
-            lock_since_ = now();
-            task->processor().notify(&rtos::TaskObserver::on_resource_acquire,
-                                     task->processor(), *task, *this);
-            if (protection_ == Protection::preemption_lock)
-                task->processor().lock_preemption();
-        } else {
-            while (locked_) {
-                blocked = true;
-                kernel::wait(hw_wake());
-            }
-            locked_ = true;
-            owner_ = nullptr;
-            lock_since_ = now();
+            apply_inheritance(*a.task);
+            TaskWaiter w{a.task};
+            block_until(a, w, waiters_, rtos::TaskState::waiting_resource,
+                        std::nullopt);
         }
-        return {blocked ? now() - entered : kernel::Time::zero(), blocked};
+        locked_ = true;
+        owner_ = a.task;
+        lock_since_ = now();
+        if (a.task != nullptr) {
+            a.task->processor().notify(&rtos::TaskObserver::on_resource_acquire,
+                                       a.task->processor(), *a.task, *this);
+            if (protection_ == Protection::preemption_lock)
+                a.task->processor().lock_preemption();
+        }
+        return {blocked_for(a), a.blocked};
     }
 
     void unlock() {
@@ -177,7 +170,8 @@ private:
             if (protection_ == Protection::preemption_lock)
                 released_by->processor().unlock_preemption();
         }
-        wake_highest_priority_waiter();
+        if (TaskWaiter* w = take_waiter(waiters_, /*by_priority=*/true))
+            deliver(*w);
         hw_wake().notify();
     }
 
@@ -196,21 +190,6 @@ private:
             owner_->inherit_priority(waiter.effective_priority());
             boosted_owner_ = owner_;
         }
-    }
-
-    void wake_highest_priority_waiter() {
-        std::erase_if(waiters_, [](TaskWaiter* w) {
-            return w->task->killed() || w->task->crashed() || w->task->terminated();
-        });
-        if (waiters_.empty()) return;
-        auto best = std::max_element(
-            waiters_.begin(), waiters_.end(), [](TaskWaiter* a, TaskWaiter* b) {
-                return a->task->effective_priority() < b->task->effective_priority();
-            });
-        TaskWaiter* w = *best;
-        waiters_.erase(best);
-        w->delivered = true;
-        w->task->processor().engine().make_ready(*w->task);
     }
 
     T value_;

@@ -74,18 +74,8 @@ SchedulerEngine::PhaseStats SchedulerEngine::phase_stats() const {
 
 // ------------------------------------------------------------ small helpers
 
-void SchedulerEngine::push_ready(Task& t, bool front) {
-    if (oracle_ != nullptr) {
-        push_ready_oracle(t, front);
-        return;
-    }
-    if (!ordered_) {
-        if (front)
-            ready_.insert(ready_.begin(), &t);
-        else
-            ready_.push_back(&t);
-        return;
-    }
+ReadyQueue::iterator SchedulerEngine::default_ready_slot(Task& t, bool front) {
+    if (!ordered_) return front ? ready_.begin() : ready_.end();
     // Ordered insert, stable within one rank: a preempted task (`front`)
     // goes ahead of its equal-rank peers, a fresh arrival behind them — the
     // same tie-break the arrival-order queue plus select()-scan produced.
@@ -93,10 +83,15 @@ void SchedulerEngine::push_ready(Task& t, bool front) {
     const auto cmp = [&pol](const Task* a, const Task* b) {
         return pol.before(*a, *b);
     };
-    const auto it =
-        front ? std::lower_bound(ready_.begin(), ready_.end(), &t, cmp)
-              : std::upper_bound(ready_.begin(), ready_.end(), &t, cmp);
-    ready_.insert(it, &t);
+    return front ? std::lower_bound(ready_.begin(), ready_.end(), &t, cmp)
+                 : std::upper_bound(ready_.begin(), ready_.end(), &t, cmp);
+}
+
+void SchedulerEngine::push_ready(Task& t, bool front) {
+    if (oracle_ != nullptr)
+        push_ready_oracle(t, front);
+    else
+        ready_.insert(default_ready_slot(t, front), &t);
 }
 
 void SchedulerEngine::push_ready_oracle(Task& t, bool front) {
@@ -109,19 +104,8 @@ void SchedulerEngine::push_ready_oracle(Task& t, bool front) {
     const auto equal_rank = [&](const Task* x) {
         return !ordered_ || (!pol.before(*x, t) && !pol.before(t, *x));
     };
-    // Default slot, exactly as the oracle-free path computes it.
-    std::size_t pos;
-    if (!ordered_) {
-        pos = front ? 0 : ready_.size();
-    } else {
-        const auto cmp = [&pol](const Task* a, const Task* b) {
-            return pol.before(*a, *b);
-        };
-        const auto it =
-            front ? std::lower_bound(ready_.begin(), ready_.end(), &t, cmp)
-                  : std::upper_bound(ready_.begin(), ready_.end(), &t, cmp);
-        pos = static_cast<std::size_t>(it - ready_.begin());
-    }
+    const auto pos =
+        static_cast<std::size_t>(default_ready_slot(t, front) - ready_.begin());
     // The window the new entry may permute with: the contiguous run of
     // equal-rank tasks adjacent to the default slot that entered the queue
     // at this same instant. Tasks queued at an earlier instant carry
@@ -337,7 +321,7 @@ void SchedulerEngine::enter_running(Task& t) {
     }
 }
 
-void SchedulerEngine::await_dispatch(Task& t) {
+bool SchedulerEngine::await_dispatch(Task& t, std::optional<TimedWait> timed) {
     // `notified` tracks whether the grant was observed via an ev_run_ wake.
     // A grant observed *synchronously* — this thread ran the scheduling pass
     // itself (procedural kicked branch) or continued inline after a sync
@@ -350,6 +334,7 @@ void SchedulerEngine::await_dispatch(Task& t) {
     // schedule-space explorer: a cross-CPU release/acquire race at the same
     // instant resolved differently per engine).
     bool notified = false;
+    bool timed_out = false;
     for (;;) {
         if (t.granted_) {
             t.granted_ = false;
@@ -359,16 +344,9 @@ void SchedulerEngine::await_dispatch(Task& t) {
         if (t.kicked_) {
             // Procedural engine: the awakened task's own thread executes the
             // scheduling pass (§4.2: "the RTOS algorithm is executed by the
-            // thread of the task which was awaked"). Defer one delta cycle so
-            // that other same-instant arrivals are already in the ready queue
-            // when the scheduling duration is evaluated — the dedicated RTOS
-            // thread of the §4.1 engine naturally runs after them, and the
-            // two engines must behave identically.
+            // thread of the task which was awaked").
             t.kicked_ = false;
-            pass_runner_ = &t;
-            k::wait(k::Time::zero());
-            schedule_pass(&t);
-            pass_runner_ = nullptr;
+            run_deferred_pass(t, /*charge_save=*/false);
             dispatch_in_progress_ = false;
             if (t.killed_) throw k::ProcessKilled(t.name());
             notified = false; // a self-grant by this pass is synchronous
@@ -379,11 +357,34 @@ void SchedulerEngine::await_dispatch(Task& t) {
         // task terminated without unwinding the thread; no grant can ever
         // arrive, so unwind here.
         if (t.killed_) throw k::ProcessKilled(t.name());
+        if (timed && t.state() == timed->kind) {
+            // Not delivered yet: wait for a delivery until the deadline,
+            // then wake ourselves (normal dispatch rules apply).
+            const k::Time remaining =
+                k::Time::sat_sub(timed->deadline, processor_.simulator().now());
+            if (remaining.is_zero()) {
+                timed_out = true;
+                make_ready(t);
+                continue;
+            }
+            notified = k::Simulator::current().wait(remaining, t.ev_run_) ==
+                       k::Process::WakeReason::event;
+            continue;
+        }
         k::wait(t.ev_run_);
         notified = true;
     }
     charge(OverheadKind::context_load, &t);
     enter_running(t);
+    return !timed_out;
+}
+
+void SchedulerEngine::run_deferred_pass(Task& runner, bool charge_save) {
+    pass_runner_ = &runner;
+    k::wait(k::Time::zero());
+    if (charge_save) charge(OverheadKind::context_save, &runner);
+    schedule_pass(&runner);
+    pass_runner_ = nullptr;
 }
 
 // ------------------------------------------------------ task-thread services
@@ -484,48 +485,7 @@ bool SchedulerEngine::block_timed(Task& t, TaskState kind, k::Time timeout) {
     // sync for the same reason as sleep_for: the timeout wake must not enter
     // the ready queue before the scheduling pass caused by this very block.
     reschedule_after_leave(t, /*charge_save=*/true, /*sync=*/true);
-
-    bool timed_out = false;
-    bool notified = false; // see await_dispatch: sync grants yield once
-    for (;;) {
-        if (t.granted_) {
-            t.granted_ = false;
-            if (!notified) k::Simulator::current().yield();
-            break;
-        }
-        if (t.kicked_) {
-            t.kicked_ = false;
-            pass_runner_ = &t;
-            k::wait(k::Time::zero());
-            schedule_pass(&t);
-            pass_runner_ = nullptr;
-            dispatch_in_progress_ = false;
-            if (t.killed_) throw k::ProcessKilled(t.name());
-            notified = false;
-            continue;
-        }
-        // See await_dispatch: a kill during this thread's own deferred leave
-        // pass terminates the task without an unwind — no grant will come.
-        if (t.killed_) throw k::ProcessKilled(t.name());
-        if (t.state() != kind) {
-            // Someone already delivered (made us ready): just await the grant.
-            k::wait(t.ev_run_);
-            notified = true;
-            continue;
-        }
-        const k::Time remaining =
-            k::Time::sat_sub(deadline, processor_.simulator().now());
-        if (remaining.is_zero()) {
-            timed_out = true;
-            make_ready(t); // self wake-up, normal dispatch rules apply
-            continue;
-        }
-        notified = k::Simulator::current().wait(remaining, t.ev_run_) ==
-                   k::Process::WakeReason::event;
-    }
-    charge(OverheadKind::context_load, &t);
-    enter_running(t);
-    return !timed_out;
+    return await_dispatch(t, TimedWait{kind, deadline});
 }
 
 void SchedulerEngine::sleep_for(Task& t, k::Time d) {

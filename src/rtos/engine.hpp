@@ -23,6 +23,7 @@
 // context-loaded preempts it immediately after the load completes.
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "kernel/event.hpp"
@@ -196,9 +197,25 @@ protected:
     /// The granted task starts running (called after the load charge).
     void enter_running(Task& t);
 
+    /// A bounded wait in progress: the state the task blocked in and the
+    /// instant it stops waiting for a delivery.
+    struct TimedWait {
+        TaskState kind;
+        kernel::Time deadline;
+    };
+
     /// Wait until granted — executing scheduling passes when kicked
-    /// (procedural engine only) — then charge load and enter Running.
-    void await_dispatch(Task& t);
+    /// (procedural engine only) — then charge load and enter Running. With
+    /// a `timed` wait the task readies itself at the deadline unless a
+    /// delivery made it ready first; returns false exactly when it did.
+    bool await_dispatch(Task& t, std::optional<TimedWait> timed = std::nullopt);
+
+    /// Procedural engine: one scheduling pass executed in `runner`'s own
+    /// thread, deferred by one delta cycle so other same-instant arrivals
+    /// are already in the ready queue (the §4.1 engine's RTOS thread
+    /// naturally runs after them). `pass_runner_` covers the deferral and
+    /// the pass: a kill landing meanwhile lets the charges complete.
+    void run_deferred_pass(Task& runner, bool charge_save);
 
     void push_ready(Task& t, bool front);
     void set_phase(Phase p);
@@ -247,6 +264,9 @@ protected:
     const mcse::Relation* block_context_ = nullptr; ///< see set_block_context
 
 private:
+    /// Where push_ready puts `t` without an oracle: the front or back of its
+    /// equal-rank run (ordered policies), else of the whole queue.
+    [[nodiscard]] ReadyQueue::iterator default_ready_slot(Task& t, bool front);
     /// push_ready with the oracle installed: compute the same-instant
     /// equal-rank window around the default slot and let the oracle pick.
     void push_ready_oracle(Task& t, bool front);

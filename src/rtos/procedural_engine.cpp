@@ -12,21 +12,12 @@ void ProceduralEngine::reschedule_after_leave(Task& leaver, bool charge_save,
                                               bool /*sync*/) {
     // Everything happens synchronously in the leaving task's thread
     // (Figure 5: the blocked/preempted task's thread executes TaskContextSave
-    // and the Scheduling portion of the RTOS overhead). Defer one delta cycle
-    // first so other same-instant wakes are already in the ready queue when
-    // the overhead durations are evaluated and the observers sample the queue —
-    // the §4.1 engine's dedicated RTOS thread naturally runs after them, and
-    // the engines must agree on the state every charge observes (same
-    // reasoning as the kicked branch of await_dispatch). pass_runner_ covers
-    // the deferral: a kill landing in that window lets the charges complete,
-    // exactly as a kill cannot retract the threaded engine's already-queued
-    // reschedule request; the killed leaver then unwinds from its dispatch
-    // wait.
-    pass_runner_ = &leaver;
-    k::wait(k::Time::zero());
-    if (charge_save) charge(OverheadKind::context_save, &leaver);
-    schedule_pass(&leaver);
-    pass_runner_ = nullptr;
+    // and the Scheduling portion of the RTOS overhead). The pass is deferred
+    // one delta so the engines agree on the state every charge observes; a
+    // kill landing meanwhile cannot retract it, exactly as it cannot retract
+    // the threaded engine's already-queued reschedule request — the killed
+    // leaver then unwinds from its dispatch wait.
+    run_deferred_pass(leaver, charge_save);
     retire_if_terminated(leaver);
 }
 

@@ -97,14 +97,10 @@ private:
         std::vector<kernel::Time> pending; ///< unmatched source occurrences
     };
 
-    void attach_processor(rtos::Processor& cpu);
-    void attach_relation(mcse::Relation& rel);
     void add_violation(Violation v);
 
     std::vector<ResponseRule> response_rules_;
     std::vector<LatencyRule> latency_rules_;
-    std::vector<const rtos::Processor*> attached_cpus_;
-    std::vector<const mcse::Relation*> attached_relations_;
     std::vector<Violation> violations_;
     std::uint64_t checks_ = 0;
     std::function<void(const Violation&)> on_violation_;

@@ -1,10 +1,13 @@
 // Timed-blocking primitives (RTOS-standard extension): Event::await_for,
 // MessageQueue::read_for, Semaphore::acquire_for — success before the
 // deadline, timeout expiry, exact timeout instants, interplay with
-// priorities and overheads, and hardware-side variants. Both engines.
+// priorities and overheads, hardware-side variants, and the untimed ops
+// behaving exactly like their never-expiring timed forms. Both engines.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "kernel/simulator.hpp"
@@ -12,6 +15,7 @@
 #include "mcse/message_queue.hpp"
 #include "mcse/semaphore.hpp"
 #include "rtos/processor.hpp"
+#include "trace/recorder.hpp"
 
 namespace k = rtsc::kernel;
 namespace r = rtsc::rtos;
@@ -215,6 +219,127 @@ TEST_P(TimeoutTest, ZeroTimeoutActsAsTry) {
         self.compute(1_us);
     });
     sim.run();
+}
+
+// ---- the untimed op is the timed op with no deadline ----
+
+namespace {
+
+enum class Rel { event, queue, semaphore };
+
+/// A waiter (task or hardware process) blocks twice on one relation —
+/// untimed, or bounded by a timeout that never expires — while a
+/// lower-priority task provides, with RTOS overheads on. Returns every
+/// Recorder row (states, overheads, comms) and the access stats as text.
+std::vector<std::string> trace_wait(r::EngineKind engine, Rel rel,
+                                    bool hw_caller, bool timed) {
+    k::Simulator sim;
+    r::Processor cpu("cpu", std::make_unique<r::PriorityPreemptivePolicy>(),
+                     engine);
+    cpu.set_overheads(r::RtosOverheads::uniform(5_us));
+    m::Event ev("ev", m::EventPolicy::counter);
+    m::MessageQueue<int> q("q", 2);
+    m::Semaphore sem("sem", 0);
+    rtsc::trace::Recorder rec;
+    rec.attach(cpu);
+    rec.attach(ev);
+    rec.attach(q);
+    rec.attach(sem);
+
+    bool got = true;
+    const auto wait_once = [&] {
+        int v = 0;
+        switch (rel) {
+            case Rel::event:
+                if (timed) got = ev.await_for(Time::max()) && got;
+                else ev.await();
+                break;
+            case Rel::queue:
+                if (timed) got = q.read_for(v, Time::max()) && got;
+                else v = q.read();
+                break;
+            case Rel::semaphore:
+                if (timed) got = sem.acquire_for(Time::max()) && got;
+                else sem.acquire();
+                break;
+        }
+    };
+    const auto provide = [&] {
+        switch (rel) {
+            case Rel::event: ev.signal(); break;
+            case Rel::queue: q.write(1); break;
+            case Rel::semaphore: sem.release(); break;
+        }
+    };
+    if (hw_caller) {
+        sim.spawn("waiter", [&] {
+            wait_once();
+            k::wait(10_us);
+            wait_once();
+        });
+    } else {
+        cpu.create_task({.name = "waiter", .priority = 5}, [&](r::Task& self) {
+            wait_once();
+            self.compute(10_us);
+            wait_once();
+        });
+    }
+    cpu.create_task({.name = "provider", .priority = 1}, [&](r::Task& self) {
+        self.compute(30_us);
+        provide();
+        self.compute(30_us);
+        provide();
+        self.compute(5_us);
+    });
+    sim.run();
+    EXPECT_TRUE(got);
+
+    const auto name = [](const r::Task* t) { return t ? t->name() : "hw"; };
+    std::vector<std::string> rows;
+    for (const auto& s : rec.states()) {
+        std::ostringstream o;
+        o << "state " << s.at << ' ' << name(s.task) << ' '
+          << r::to_string(s.from) << "->" << r::to_string(s.to);
+        rows.push_back(o.str());
+    }
+    for (const auto& ov : rec.overheads()) {
+        std::ostringstream o;
+        o << "overhead " << ov.at << ' ' << ov.duration << ' '
+          << r::to_string(ov.kind) << ' ' << name(ov.about);
+        rows.push_back(o.str());
+    }
+    for (const auto& c : rec.comms()) {
+        std::ostringstream o;
+        o << "comm " << c.at << ' ' << c.relation->name() << ' ' << name(c.task)
+          << ' ' << m::to_string(c.kind) << (c.blocked ? " blocked" : "");
+        rows.push_back(o.str());
+    }
+    for (const m::Relation* x : {static_cast<m::Relation*>(&ev),
+                                 static_cast<m::Relation*>(&q),
+                                 static_cast<m::Relation*>(&sem)}) {
+        const auto& st = x->access_stats();
+        std::ostringstream o;
+        o << "stats " << x->name() << ' ' << st.accesses << ' '
+          << st.blocked_accesses << ' ' << st.blocked_time;
+        rows.push_back(o.str());
+    }
+    return rows;
+}
+
+} // namespace
+
+TEST_P(TimeoutTest, UntimedOpsMatchNeverExpiringTimedOps) {
+    for (const Rel rel : {Rel::event, Rel::queue, Rel::semaphore}) {
+        for (const bool hw_caller : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "relation " << static_cast<int>(rel)
+                         << (hw_caller ? ", hardware caller" : ", task caller"));
+            const auto untimed = trace_wait(GetParam(), rel, hw_caller, false);
+            const auto timed = trace_wait(GetParam(), rel, hw_caller, true);
+            EXPECT_GT(untimed.size(), 10u);
+            EXPECT_EQ(untimed, timed);
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(BothEngines, TimeoutTest,

@@ -68,6 +68,17 @@ TEST(RecorderTest, CapturesStatesOverheadsAndComms) {
     EXPECT_TRUE(s.rec.states().empty());
 }
 
+TEST(RecorderTest, AttachingARelationTwiceRecordsEachAccessOnce) {
+    k::Simulator sim;
+    Scenario s;
+    s.rec.attach(s.irq); // a repeat subscription is ignored
+    sim.run();
+    // The scenario's only accesses: the hardware signal and H's await.
+    ASSERT_EQ(s.rec.comms().size(), 2u);
+    EXPECT_NE(s.rec.comms()[0].kind, s.rec.comms()[1].kind);
+    EXPECT_EQ(s.irq.access_stats().accesses, 2u);
+}
+
 TEST(TimelineTest, SegmentsAreContiguousAndOrdered) {
     k::Simulator sim;
     Scenario s;
