@@ -3,21 +3,20 @@
 #include <algorithm>
 
 #include "kernel/simulator.hpp"
-#include "rtos/processor.hpp"
 #include "rtos/task.hpp"
-#include "trace/marker.hpp"
 
 namespace rtsc::fault {
 
 namespace k = rtsc::kernel;
 
 DeadlineMissHandler::DeadlineMissHandler(trace::ConstraintMonitor& monitor)
-    : sim_(k::Simulator::current()), wake_("deadline_handler.wake") {
+    : wake_("deadline_handler.wake") {
     monitor.set_violation_callback(
         [this](const trace::ConstraintMonitor::Violation& v) {
             on_violation(v);
         });
-    agent_ = &sim_.spawn("deadline_handler.agent", [this] { agent_body(); });
+    agent_ = &k::Simulator::current().spawn("deadline_handler.agent",
+                                            [this] { agent_body(); });
     agent_->set_daemon(true);
 }
 
@@ -60,45 +59,12 @@ void DeadlineMissHandler::agent_body() {
                             [&e](const Entry& b) { return b.task == e.task; });
             if (!seen) batch.push_back(e);
         }
-        for (const Entry& e : batch) apply(e);
-    }
-}
-
-void DeadlineMissHandler::apply(const Entry& e) {
-    ++handled_;
-    rtos::Task& t = *e.task;
-    if (trace_ != nullptr)
-        trace_->mark("deadline", "miss:" + t.name() + " (" +
-                                     to_string(e.policy.action) + ")");
-    sim_.reporter().report(
-        k::Severity::warning,
-        "deadline miss on task '" + t.name() + "' at " + sim_.now().to_string() +
-            " (action: " + to_string(e.policy.action) + ")");
-    switch (e.policy.action) {
-        case RecoveryAction::log:
-            break;
-        case RecoveryAction::kill:
-            if (!t.body_finished()) {
-                t.kill();
-                ++kills_;
-            }
-            break;
-        case RecoveryAction::restart: {
-            if (!t.body_finished()) {
-                t.kill();
-                ++kills_;
-            }
-            // Restart only once the terminal leave settled (engine-
-            // independent instant; see Task::retired_event).
-            if (!t.retired()) k::wait(t.retired_event());
-            t.processor().restart_task(t, e.policy.restart_delay);
-            ++restarts_;
-            break;
+        for (const Entry& e : batch) {
+            ++handled_;
+            if (recover(*e.task, e.policy, trace_, "deadline", "miss")) ++kills_;
+            if (e.policy.action == RecoveryAction::restart) ++restarts_;
+            if (e.policy.action == RecoveryAction::demote_priority) ++demotions_;
         }
-        case RecoveryAction::demote_priority:
-            t.set_base_priority(e.policy.demote_to);
-            ++demotions_;
-            break;
     }
 }
 

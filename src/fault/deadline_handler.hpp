@@ -59,9 +59,7 @@ private:
 
     void on_violation(const trace::ConstraintMonitor::Violation& v);
     void agent_body();
-    void apply(const Entry& e);
 
-    kernel::Simulator& sim_;
     std::vector<std::pair<rtos::Task*, RecoveryPolicy>> policies_;
     std::deque<Entry> pending_;
     kernel::Event wake_;

@@ -5,8 +5,16 @@
 // so killing/restarting cannot corrupt an in-flight scheduling pass.
 
 #include <cstdint>
+#include <string>
 
 #include "kernel/time.hpp"
+
+namespace rtsc::rtos {
+class Task;
+}
+namespace rtsc::trace {
+class MarkerSink;
+}
 
 namespace rtsc::fault {
 
@@ -33,5 +41,15 @@ struct RecoveryPolicy {
     kernel::Time restart_delay{}; ///< restart action: release delay
     int demote_to = 0;            ///< demote_priority action: new base priority
 };
+
+/// The one recovery executor behind Watchdog and DeadlineMissHandler: mark
+/// "<incident>:<task> (<action>)" in `category` on `trace` (may be null),
+/// warn "<category> <incident> on task ...", then apply `policy`. Call it
+/// from a supervisor's own process: a restart waits for the killed
+/// incarnation to retire (Task::retired_event). Returns whether a live task
+/// was killed.
+bool recover(rtos::Task& task, const RecoveryPolicy& policy,
+             trace::MarkerSink* trace, const std::string& category,
+             const std::string& incident);
 
 } // namespace rtsc::fault

@@ -3,7 +3,6 @@
 #include "kernel/simulator.hpp"
 #include "rtos/processor.hpp"
 #include "rtos/task.hpp"
-#include "trace/marker.hpp"
 
 namespace rtsc::fault {
 
@@ -33,44 +32,14 @@ void Watchdog::body() {
         // restart policy has business with a dead task).
         if (task_.body_finished() && policy_.action != RecoveryAction::restart)
             return;
-        fire();
+        ++timeouts_;
+        recover(task_, policy_, trace_, "watchdog", "timeout");
         if (policy_.action == RecoveryAction::kill) {
             // The corpse stays dead: wait out the unwind and stop, so the
             // watchdog does not fire forever against it.
             if (!task_.retired()) k::wait(task_.retired_event());
             return;
         }
-    }
-}
-
-void Watchdog::fire() {
-    ++timeouts_;
-    k::Simulator& sim = task_.processor().simulator();
-    if (trace_ != nullptr)
-        trace_->mark("watchdog", "timeout:" + task_.name() + " (" +
-                                     to_string(policy_.action) + ")");
-    sim.reporter().report(
-        k::Severity::warning,
-        "watchdog timeout on task '" + task_.name() + "' at " +
-            sim.now().to_string() + " (action: " + to_string(policy_.action) +
-            ")");
-    switch (policy_.action) {
-        case RecoveryAction::log:
-            break;
-        case RecoveryAction::kill:
-            if (!task_.body_finished()) task_.kill();
-            break;
-        case RecoveryAction::restart: {
-            if (!task_.body_finished()) task_.kill();
-            // Restart only once the terminal leave settled (engine-
-            // independent instant; see Task::retired_event).
-            if (!task_.retired()) k::wait(task_.retired_event());
-            task_.processor().restart_task(task_, policy_.restart_delay);
-            break;
-        }
-        case RecoveryAction::demote_priority:
-            task_.set_base_priority(policy_.demote_to);
-            break;
     }
 }
 

@@ -51,7 +51,6 @@ public:
 
 private:
     void body();
-    void fire();
 
     rtos::Task& task_;
     kernel::Time deadline_;

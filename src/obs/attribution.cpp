@@ -202,17 +202,15 @@ void Attribution::switch_segment(TaskCtx& c, SliceKind kind, k::Time now) {
 
 // ------------------------------------------------------------ job lifecycle
 
-void Attribution::open_job(TaskCtx& c, k::Time now) {
+void Attribution::open_job(TaskCtx& c) {
     c.open = true;
-    c.index = c.next_index++;
-    c.release = now;
     c.exec = c.residual = k::Time::zero();
     for (auto& o : c.ov) o = k::Time::zero();
     // c.pre needs no clearing: finish_job re-zeroed exactly the touched
     // slots, everything else is still zero.
     c.blocked_on.clear();
     c.skel.clear();
-    begin_segment(c, SliceKind::ready, now);
+    begin_segment(c, SliceKind::ready, c.task->job_release());
 }
 
 void Attribution::finish_job(TaskCtx& c, k::Time now, bool aborted) {
@@ -231,8 +229,8 @@ void Attribution::finish_job(TaskCtx& c, k::Time now, bool aborted) {
     cores_.emplace_back();
     JobCore& j = cores_.back();
     j.task = c.task;
-    j.index = c.index;
-    j.release = c.release;
+    j.index = c.task->job_index();
+    j.release = c.task->job_release();
     j.end = now;
     j.aborted = aborted;
     j.exec = c.exec;
@@ -374,7 +372,7 @@ void Attribution::materialize() const {
 void Attribution::start_episode(TaskCtx& c, k::Time now) {
     BlockEpisode e;
     e.victim = c.task->name();
-    e.job_index = c.index;
+    e.job_index = c.task->job_index();
     e.resource = c.blocked_rel != nullptr ? c.blocked_rel->name() : "?";
     e.start = now;
     e.end = now;
@@ -479,26 +477,13 @@ void Attribution::on_task_state(const r::Task& task, r::TaskState from,
         }
     }
 
-    // 2. The task's own job transitions.
-
-    // Release: leaving a synchronization wait (or creation) for Ready opens
-    // a job — same rule as MetricsCollector / ConstraintMonitor.
-    if (to == r::TaskState::ready &&
-        (from == r::TaskState::waiting || from == r::TaskState::created)) {
-        if (c.open) {
-            // Defensive: an episode convention violation would leak a job;
-            // close it as aborted rather than corrupt the tiling.
-            finish_job(c, now, /*aborted=*/true);
-        }
-        open_job(c, now);
-        return;
-    }
+    // 2. Segment changes inside the task's open job. The job edges (release,
+    // completion, abort) arrive right after this call, in on_job.
     if (!c.open) {
         if (c.blocked_rel != nullptr && to != r::TaskState::waiting_resource)
             c.blocked_rel = nullptr;
         return;
     }
-
     switch (to) {
         case r::TaskState::running:
             switch_segment(c, SliceKind::exec, now);
@@ -519,20 +504,21 @@ void Attribution::on_task_state(const r::Task& task, r::TaskState from,
             switch_segment(c, SliceKind::blocked, now);
             start_episode(c, now);
             return;
-        case r::TaskState::waiting:
-            // Completion: the episode convention ends a job when the task
-            // blocks on synchronization again.
-            finish_job(c, now, /*aborted=*/false);
-            c.blocked_rel = nullptr;
-            return;
-        case r::TaskState::terminated:
-            finish_job(c, now,
-                       /*aborted=*/task.killed() || task.crashed());
-            c.blocked_rel = nullptr;
-            return;
-        case r::TaskState::created:
-            return; // restart bookkeeping, not a job edge
+        default:
+            return; // job ends arrive in on_job; created is a restart
     }
+}
+
+void Attribution::on_job(const r::Task& task, r::JobEdge edge) {
+    TaskCtx& c = task_ctx(task);
+    if (edge == r::JobEdge::release) {
+        open_job(c);
+        return;
+    }
+    if (!c.open) return; // released before this analyzer was attached
+    finish_job(c, task.processor().simulator().now(),
+               /*aborted=*/edge == r::JobEdge::abort);
+    c.blocked_rel = nullptr;
 }
 
 // ----------------------------------------------------------------- queries
@@ -666,12 +652,9 @@ std::vector<Attribution::DeadlineMissReport> Attribution::miss_reports(
         r.at = v.at;
         r.measured = v.measured;
         r.bound = v.bound;
-        // A response violation fires at the completion instant with the
-        // job's response time: match on (task, end).
-        for (const auto& j : jobs_) {
-            if (j.task == r.task && j.end == v.at &&
-                j.response() == v.measured) {
-                r.job = &j;
+        for (std::size_t i = 0; i < cores_.size(); ++i) {
+            if (cores_[i].task == v.task && cores_[i].index == v.job) {
+                r.job = &jobs_[i];
                 break;
             }
         }

@@ -3,11 +3,11 @@
 // and who is to blame for the deadline miss?"
 //
 // An online analyzer fed by the TaskObserver notifications of both scheduler
-// engines. Every job (one response episode,
-// same release/completion rule as obs::MetricsCollector and
-// trace::ConstraintMonitor) is tiled into contiguous segments at every edge
-// that can change who occupies the CPU; each closed segment is charged to
-// exactly one causal account:
+// engines. Every job — opened and ended by the on_job edges of
+// Task::set_state (rtos/fwd.hpp JobEdge), the rule obs::MetricsCollector and
+// trace::ConstraintMonitor consume too — is tiled into contiguous segments
+// at every edge that can change who occupies the CPU; each closed segment is
+// charged to exactly one causal account:
 //
 //   exec         the job's own Running time (minus inline RTOS charges)
 //   preempted_by[T]  Ready time while task T ran (per-preemptor)
@@ -70,7 +70,7 @@ public:
     /// Exact decomposition of one completed (or aborted) job.
     struct JobRecord {
         std::string task;
-        std::uint64_t index = 0;     ///< activation ordinal, 0-based per task
+        std::uint64_t index = 0;     ///< Task::job_index() of the job
         kernel::Time release{};
         kernel::Time end{};          ///< completion (or abort) instant
         bool aborted = false;        ///< ended by kill / crash, not completion
@@ -216,9 +216,9 @@ public:
     /// zero-width slices dropped). `j` must be an element of jobs().
     [[nodiscard]] std::vector<Slice> slices_for(const JobRecord& j) const;
 
-    /// Match every response violation of `monitor` against the recorded job
-    /// decompositions and render its critical path. Pointers into jobs()
-    /// stay valid while the Attribution lives.
+    /// Match every response violation of `monitor` to the recorded job of
+    /// the same task and job index, and render its critical path. Pointers
+    /// into jobs() stay valid while the Attribution lives.
     [[nodiscard]] std::vector<DeadlineMissReport> miss_reports(
         const trace::ConstraintMonitor& monitor) const;
 
@@ -234,6 +234,7 @@ public:
     // ---- TaskObserver ----
     void on_task_state(const rtos::Task& task, rtos::TaskState from,
                        rtos::TaskState to) override;
+    void on_job(const rtos::Task& task, rtos::JobEdge edge) override;
     void on_overhead(const rtos::Processor& cpu, rtos::OverheadKind kind,
                      kernel::Time start, kernel::Time duration,
                      const rtos::Task* about) override;
@@ -308,11 +309,8 @@ private:
         const rtos::Task* task = nullptr;
         CpuCtx* cpu = nullptr;
         std::size_t slot = 0;        ///< index into cpu->slot_tasks
-        std::uint64_t next_index = 0;
 
         bool open = false;
-        std::uint64_t index = 0;
-        kernel::Time release{};
 
         SliceKind seg = SliceKind::exec;
         kernel::Time seg_start{};
@@ -385,7 +383,7 @@ private:
     /// close + begin sharing one overhead-mark computation — every mid-job
     /// transition is such a pair.
     void switch_segment(TaskCtx& c, SliceKind kind, kernel::Time now);
-    void open_job(TaskCtx& c, kernel::Time now);
+    void open_job(TaskCtx& c);
     void finish_job(TaskCtx& c, kernel::Time now, bool aborted);
     void start_episode(TaskCtx& c, kernel::Time now);
     void end_episode(TaskCtx& c, kernel::Time now);

@@ -170,37 +170,14 @@ void MetricsCollector::set_attribution(Attribution* a) {
     });
 }
 
-void MetricsCollector::on_task_state(const r::Task& task, r::TaskState from,
-                                     r::TaskState to) {
-    if (from == to) return; // creation announcement
-    // Release: leaving a synchronization wait (or creation) for Ready starts
-    // a response episode — same rule as trace::ConstraintMonitor. Completion:
-    // the running task blocks again or terminates. Every other transition
-    // (dispatch, preemption, resource waits) records nothing, so the metric
-    // lookup and the now() query only run on the two episode edges.
-    const bool release =
-        to == r::TaskState::ready &&
-        (from == r::TaskState::waiting || from == r::TaskState::created);
-    const bool completion =
-        from == r::TaskState::running &&
-        (to == r::TaskState::waiting || to == r::TaskState::terminated);
-    if (!release && !completion) return;
+void MetricsCollector::on_job(const r::Task& task, r::JobEdge edge) {
+    if (edge == r::JobEdge::abort) return; // an aborted job has no response
     TaskMetrics& m = task_metrics(task);
-    const k::Time now = task.processor().simulator().now();
-    if (release) {
+    if (edge == r::JobEdge::release)
         m.activations->inc();
-        m.active = true;
-        m.released = now;
-        return;
-    }
-    // A kill/crash leaves the episode open — an aborted activation has no
-    // response time.
-    if (m.active) {
-        m.active = false;
-        if (!(to == r::TaskState::terminated &&
-              (task.killed() || task.crashed())))
-            m.response->record(now - m.released);
-    }
+    else
+        m.response->record(task.processor().simulator().now() -
+                           task.job_release());
 }
 
 } // namespace rtsc::obs

@@ -11,8 +11,11 @@
 //   cpu.<name>.preempt_depth        histogram preempted tasks in queue per preemption
 //   cpu.<name>.sched_latency_ps     histogram Ready -> Running wait, ps
 //   cpu.<name>.dispatch_latency_ps  histogram grant -> Running tail, ps
-//   task.<name>.response_ps         histogram activation -> completion, ps
-//   task.<name>.activations         counter   release count
+//   task.<name>.response_ps         histogram job release -> completion, ps
+//   task.<name>.activations         counter   jobs released
+//
+// The two task metrics follow the job rule of Task::set_state
+// (rtos/fwd.hpp JobEdge) through on_job; an aborted job has no response.
 //
 // With an Attribution analyzer plugged in (set_attribution) the catalogue
 // grows per-job blame metrics:
@@ -74,8 +77,7 @@ public:
     void set_attribution(Attribution* a);
 
     // TaskObserver
-    void on_task_state(const rtos::Task& task, rtos::TaskState from,
-                       rtos::TaskState to) override;
+    void on_job(const rtos::Task& task, rtos::JobEdge edge) override;
     void on_scheduler_run(const rtos::Processor& cpu,
                           std::size_t ready_len) override;
     void on_dispatch(const rtos::Processor& cpu, const rtos::Task& t,
@@ -99,8 +101,6 @@ private:
         const rtos::Task* task;
         Counter* activations;
         Histogram* response;
-        bool active = false;       ///< a response episode is open
-        kernel::Time released{};
     };
     /// Cached blame-metric pointers for one completing task. The completion
     /// hook fires once per job — resolving five histograms plus per-culprit

@@ -97,8 +97,11 @@ private:
 // Each policy derives from the plain EDF / fixed-priority policy — the
 // *schedule* is unchanged; only the operating-point decision is added — and
 // mixes in a per-task {WCET, period} table registered via declare_task().
-// The engine queries dvfs_level() at the start of every scheduling pass and
-// feeds job boundaries through on_job_release()/on_job_completion().
+// The engine queries dvfs_level() at the start of every scheduling pass;
+// Task::set_state feeds the job boundaries (rtos/fwd.hpp JobEdge, the rule
+// the metrics, constraints and attribution also consume) through
+// on_job_release()/on_job_completion() — an abort by kill or crash ends the
+// job's budget too, whatever state the task was killed in.
 // ---------------------------------------------------------------------------
 
 /// Per-task budget table shared by the DVFS-aware policies.

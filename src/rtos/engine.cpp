@@ -289,12 +289,6 @@ void SchedulerEngine::leave_running(Task& t, TaskState to, PreemptReason reason)
                           block_context_);
         block_context_ = nullptr;
     }
-    // Job boundary for the RT-DVS policies: waiting = job done until the next
-    // release; terminated = final job done. waiting_resource is mid-job
-    // blocking and does not complete the job.
-    if (processor_.dvfs_enabled() &&
-        (to == TaskState::waiting || to == TaskState::terminated))
-        processor_.policy().on_job_completion(t, processor_.simulator().now());
     t.set_state(to);
 }
 
@@ -537,18 +531,7 @@ void SchedulerEngine::make_ready(Task& t) {
         case TaskState::waiting_resource:
             break;
     }
-    // Job boundary for the RT-DVS policies: a wake out of created/waiting
-    // releases a fresh job (reset the per-job accumulators before the policy
-    // sees it); waking from waiting_resource resumes the same job.
-    if (processor_.dvfs_enabled() &&
-        (t.state() == TaskState::created || t.state() == TaskState::waiting)) {
-        t.job_work_ = k::Time::zero();
-        t.job_energy_exec_ = 0;
-        t.job_energy_ov_ = 0;
-        processor_.policy().on_job_release(t, processor_.simulator().now());
-    }
     t.entered_ready_preempted_ = false;
-    ++t.stats_.activations;
     push_ready(t, /*front=*/false);
     t.set_state(TaskState::ready);
     processor_.notify(&TaskObserver::on_wake, processor_, t);

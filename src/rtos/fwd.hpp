@@ -42,6 +42,15 @@ enum class TaskState : std::uint8_t {
     return "?";
 }
 
+/// A job boundary, decided once by Task::set_state. A job is released when
+/// the task is readied out of Waiting or Created (§4.2 TaskIsReady) and ends
+/// when it blocks on a synchronization or terminates (TaskIsBlocked).
+enum class JobEdge : std::uint8_t {
+    release,  ///< Waiting/Created -> Ready: a new job starts
+    complete, ///< the open job blocks on a synchronization or ends normally
+    abort,    ///< kill() or a crash terminates the task with a job open
+};
+
 /// Why a running task lost the processor; used by the engines and recorded
 /// for the preempted-ratio statistic of Figure 8.
 enum class PreemptReason : std::uint8_t {

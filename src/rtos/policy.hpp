@@ -79,9 +79,11 @@ public:
     /// may be null). Default: keep the current level.
     [[nodiscard]] virtual std::size_t dvfs_level(const Processor& cpu,
                                                  const Task* about);
-    /// A new job of `t` was released (Created/Waiting -> Ready).
+    /// A new job of `t` was released (JobEdge::release, rtos/fwd.hpp).
+    /// Called by Task::set_state on every processor, before the observers.
     virtual void on_job_release(const Task& t, kernel::Time now);
-    /// The current job of `t` completed (Running -> Waiting/Terminated).
+    /// The current job of `t` ended: it completed, or a kill / crash aborted
+    /// it from any state (JobEdge::complete / JobEdge::abort).
     virtual void on_job_completion(const Task& t, kernel::Time now);
 };
 

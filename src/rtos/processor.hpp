@@ -154,6 +154,7 @@ public:
 
 private:
     friend class SchedulerEngine; // level application + energy folding
+    friend class Task;            // set_state: on_task_state + on_job per observer
 
     std::unique_ptr<SchedulingPolicy> policy_;
     EngineKind engine_kind_;

@@ -1,5 +1,7 @@
 #include "rtos/task.hpp"
 
+#include <optional>
+
 #include "kernel/simulator.hpp"
 #include "rtos/engine.hpp"
 #include "rtos/processor.hpp"
@@ -107,27 +109,56 @@ void Task::prepare_restart(kernel::Time delay) {
     spawn_process();
 }
 
-void Task::set_state(TaskState s) {
-    const k::Time now = processor_.simulator().now();
-    const k::Time d = now - state_since_;
+void Task::add_state_time(Stats& s, k::Time d) const noexcept {
     switch (state_) {
-        case TaskState::running: stats_.running_time += d; break;
+        case TaskState::running: s.running_time += d; break;
         case TaskState::ready:
             if (entered_ready_preempted_)
-                stats_.preempted_time += d;
+                s.preempted_time += d;
             else
-                stats_.ready_time += d;
+                s.ready_time += d;
             break;
-        case TaskState::waiting: stats_.waiting_time += d; break;
-        case TaskState::waiting_resource: stats_.waiting_resource_time += d; break;
+        case TaskState::waiting: s.waiting_time += d; break;
+        case TaskState::waiting_resource: s.waiting_resource_time += d; break;
         case TaskState::created:
         case TaskState::terminated: break;
     }
+}
+
+void Task::set_state(TaskState s) {
+    const k::Time now = processor_.simulator().now();
+    add_state_time(stats_, now - state_since_);
     const TaskState old = state_;
     state_ = s;
     state_since_ = now;
     if (s == TaskState::running) ++stats_.dispatches;
-    processor_.notify(&TaskObserver::on_task_state, *this, old, s);
+
+    // A job is open exactly while the task is Ready, Running or Waiting for
+    // a resource: it is released out of Waiting/Created and ends when the
+    // task blocks on a synchronization or terminates.
+    const bool job_was_open = old == TaskState::ready ||
+                              old == TaskState::running ||
+                              old == TaskState::waiting_resource;
+    std::optional<JobEdge> edge;
+    if (s == TaskState::ready &&
+        (old == TaskState::waiting || old == TaskState::created)) {
+        edge = JobEdge::release;
+        job_release_ = now;
+        ++stats_.activations;
+        job_work_ = k::Time::zero();
+        job_energy_exec_ = job_energy_ov_ = 0;
+        processor_.policy().on_job_release(*this, now);
+    } else if (job_was_open &&
+               (s == TaskState::waiting || s == TaskState::terminated)) {
+        edge = s == TaskState::terminated && (killed_ || crashed_)
+                   ? JobEdge::abort
+                   : JobEdge::complete;
+        processor_.policy().on_job_completion(*this, now);
+    }
+    for (TaskObserver* obs : processor_.observers_) {
+        obs->on_task_state(*this, old, s);
+        if (edge) obs->on_job(*this, *edge);
+    }
 }
 
 void Task::set_base_priority(int p) {

@@ -39,9 +39,8 @@ struct TaskConfig {
 /// wakes and mutual-exclusion ownership. The trace layer implements it to
 /// build TimeLine charts and statistics; src/obs/ builds metrics and blame
 /// attribution on it. Subscribe with Processor::add_observer — any number of
-/// observers, notified in subscription order. Every hook but on_task_state
-/// defaults to a no-op; a processor without observers pays one untaken
-/// branch per event.
+/// observers, notified in subscription order. Every hook defaults to a
+/// no-op; a processor without observers pays one untaken branch per event.
 ///
 /// All durations are *simulated* time, never host wall-clock, so readings
 /// are deterministic and identical across the procedural and the threaded
@@ -49,7 +48,19 @@ struct TaskConfig {
 class TaskObserver {
 public:
     virtual ~TaskObserver() = default;
-    virtual void on_task_state(const Task& task, TaskState from, TaskState to) = 0;
+    /// `task` moved from `from` to `to`. Also fired once with from == to ==
+    /// created when the task is created, so timeline rows open early.
+    virtual void on_task_state(const Task& task, TaskState from, TaskState to) {
+        (void)task; (void)from; (void)to;
+    }
+
+    /// A job boundary of `task` (rtos/fwd.hpp JobEdge), right after the
+    /// on_task_state call of the transition; Task::job_index() and
+    /// Task::job_release() describe the job.
+    virtual void on_job(const Task& task, JobEdge edge) {
+        (void)task; (void)edge;
+    }
+
     virtual void on_overhead(const Processor& cpu, OverheadKind kind,
                              kernel::Time start, kernel::Time duration,
                              const Task* about) {
@@ -244,16 +255,25 @@ public:
         kernel::Time waiting_resource_time{}; ///< time blocked on mutual exclusion
         std::uint64_t dispatches = 0;         ///< Ready -> Running transitions
         std::uint64_t preemptions = 0;        ///< involuntary Running -> Ready
-        std::uint64_t activations = 0;        ///< Waiting/Created -> Ready
+        std::uint64_t activations = 0;        ///< jobs released (JobEdge::release)
     };
     [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
+
+    // ---- jobs (rtos/fwd.hpp JobEdge) ----
+    /// Ordinal of the current (or last) job, 0-based, counting on across
+    /// restarts; 0 before the first release.
+    [[nodiscard]] std::uint64_t job_index() const noexcept {
+        return stats_.activations == 0 ? 0 : stats_.activations - 1;
+    }
+    /// Release instant of the current (or last) job.
+    [[nodiscard]] kernel::Time job_release() const noexcept { return job_release_; }
 
     // ---- energy accounting (DVFS processors only; rtos/dvfs.hpp) ----
     /// Energy consumed executing this task (all jobs), model units (fJ).
     [[nodiscard]] Energy energy_exec() const noexcept { return energy_exec_; }
     /// Energy of RTOS overhead charges attributed to this task.
     [[nodiscard]] Energy energy_overhead() const noexcept { return energy_ov_; }
-    /// Per-job accumulators, reset at each job release (Waiting -> Ready).
+    /// Per-job accumulators, reset at each job release.
     [[nodiscard]] Energy job_energy_exec() const noexcept { return job_energy_exec_; }
     [[nodiscard]] Energy job_energy_overhead() const noexcept { return job_energy_ov_; }
     /// Nominal (full-speed) CPU demand consumed by the current job — what the
@@ -264,20 +284,7 @@ public:
     /// (use while the simulation is still running or a task never ended).
     [[nodiscard]] Stats stats_at(kernel::Time now) const noexcept {
         Stats s = stats_;
-        const kernel::Time d = kernel::Time::sat_sub(now, state_since_);
-        switch (state_) {
-            case TaskState::running: s.running_time += d; break;
-            case TaskState::ready:
-                if (entered_ready_preempted_)
-                    s.preempted_time += d;
-                else
-                    s.ready_time += d;
-                break;
-            case TaskState::waiting: s.waiting_time += d; break;
-            case TaskState::waiting_resource: s.waiting_resource_time += d; break;
-            case TaskState::created:
-            case TaskState::terminated: break;
-        }
+        add_state_time(s, kernel::Time::sat_sub(now, state_since_));
         return s;
     }
 
@@ -287,7 +294,12 @@ private:
 
     Task(Processor& processor, TaskConfig config, Body body);
 
+    /// The one state-change path: folds the state-time statistics, decides
+    /// the job edge (rtos/fwd.hpp JobEdge), tells the policy about it, then
+    /// calls each observer's on_task_state and, on a job edge, its on_job.
     void set_state(TaskState s);
+    /// Add `d` spent in the current state to the matching field of `s`.
+    void add_state_time(Stats& s, kernel::Time d) const noexcept;
 
     /// Process body: start/body/finish with exception isolation. A kill
     /// unwind or an exception escaping the user body terminates only this
@@ -338,6 +350,8 @@ private:
     std::uint64_t restarts_ = 0;
     kernel::Time start_delay_{};         ///< release delay of the current incarnation
     ComputeHook compute_hook_;
+
+    kernel::Time job_release_{};         ///< release instant of the last job
 
     // energy accounting (engine-managed, only written on DVFS processors)
     Energy energy_exec_ = 0;      ///< lifetime execution energy

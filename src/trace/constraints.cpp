@@ -11,7 +11,7 @@ void ConstraintMonitor::require_response(rtos::Task& task, k::Time bound,
                                          std::string name) {
     if (name.empty()) name = "response(" + task.name() + ")";
     task.processor().add_observer(*this); // repeat subscriptions are no-ops
-    response_rules_.push_back({&task, bound, std::move(name), false, {}});
+    response_rules_.push_back({&task, bound, std::move(name)});
 }
 
 void ConstraintMonitor::require_latency(std::string name, mcse::Relation& from,
@@ -25,42 +25,17 @@ void ConstraintMonitor::require_latency(std::string name, mcse::Relation& from,
         {std::move(name), &from, from_kind, &to, to_kind, bound, {}});
 }
 
-void ConstraintMonitor::on_task_state(const rtos::Task& task,
-                                      rtos::TaskState from,
-                                      rtos::TaskState to) {
-    for (ResponseRule& rule : response_rules_) {
+void ConstraintMonitor::on_job(const rtos::Task& task, rtos::JobEdge edge) {
+    if (edge == rtos::JobEdge::release) return;
+    for (const ResponseRule& rule : response_rules_) {
         if (rule.task != &task) continue;
         const k::Time now = task.processor().simulator().now();
-        // Release: leaving a synchronization wait (or creation) for ready.
-        if (to == rtos::TaskState::ready &&
-            (from == rtos::TaskState::waiting ||
-             from == rtos::TaskState::created)) {
-            rule.active = true;
-            rule.released = now;
-            continue;
-        }
-        // A kill/crash ends the task from *any* state: an open response
-        // episode can never complete, so it is closed as a violation (checked
-        // before the normal-completion rule — running -> terminated is
-        // ambiguous between a kill and a normal finish).
-        if (rule.active && to == rtos::TaskState::terminated &&
-            (task.killed() || task.crashed())) {
-            rule.active = false;
-            ++checks_;
-            add_violation({rule.name + " [killed]", now, now - rule.released,
-                           rule.bound, rule.task});
-            continue;
-        }
-        // Completion: the running task blocks again or terminates.
-        if (rule.active && from == rtos::TaskState::running &&
-            (to == rtos::TaskState::waiting ||
-             to == rtos::TaskState::terminated)) {
-            rule.active = false;
-            ++checks_;
-            const k::Time response = now - rule.released;
-            if (response > rule.bound)
-                add_violation({rule.name, now, response, rule.bound, rule.task});
-        }
+        const k::Time response = now - task.job_release();
+        ++checks_;
+        const bool aborted = edge == rtos::JobEdge::abort;
+        if (aborted || response > rule.bound)
+            add_violation({aborted ? rule.name + " [killed]" : rule.name, now,
+                           response, rule.bound, rule.task, task.job_index()});
     }
 }
 

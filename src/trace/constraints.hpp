@@ -6,9 +6,9 @@
 //
 // Two constraint kinds cover the measurements the paper extracts manually
 // from TimeLine charts:
-//   - response constraints: every activation of a task (Ready after a
-//     synchronization or its creation) must complete (block again or
-//     terminate) within a bound — per-activation response time;
+//   - response constraints: every job of a task must complete within a
+//     bound of its release — per-job response time, with jobs delimited by
+//     the one rule of Task::set_state (rtos/fwd.hpp JobEdge);
 //   - latency constraints: the n-th occurrence of a sink access (e.g. a
 //     write to an output queue) must follow the n-th occurrence of a source
 //     access (e.g. the interrupt event's signal) within a bound — "the time
@@ -39,12 +39,13 @@ public:
         /// Task the violated rule monitors (response rules; nullptr for
         /// latency rules). Recovery handlers use it to kill/restart/demote.
         const rtos::Task* task = nullptr;
+        /// Task::job_index() of the job the response rule measured.
+        std::uint64_t job = 0;
     };
 
-    /// Every activation of `task` must complete within `bound` of its
-    /// release. An activation starts when the task leaves waiting/created
-    /// for ready, and completes when it blocks again or terminates;
-    /// preemptions and resource waits in between belong to the activation.
+    /// Every job of `task` must complete within `bound` of its release
+    /// (rtos/fwd.hpp JobEdge). A job aborted by kill or crash can never
+    /// complete: it is a violation named "<rule> [killed]".
     void require_response(rtos::Task& task, kernel::Time bound,
                           std::string name = {});
 
@@ -73,8 +74,7 @@ public:
     }
 
     // TaskObserver
-    void on_task_state(const rtos::Task& task, rtos::TaskState from,
-                       rtos::TaskState to) override;
+    void on_job(const rtos::Task& task, rtos::JobEdge edge) override;
     // CommObserver
     void on_access(const mcse::Relation& rel, const rtos::Task* task,
                    mcse::AccessKind kind, bool blocked) override;
@@ -84,8 +84,6 @@ private:
         const rtos::Task* task;
         kernel::Time bound;
         std::string name;
-        bool active = false;
-        kernel::Time released{};
     };
     struct LatencyRule {
         std::string name;

@@ -74,6 +74,28 @@ TEST_P(SharedVarTest, MutualExclusionBlocksSecondAccessor) {
     EXPECT_EQ(sections[1].second, 20_us);
 }
 
+TEST_P(SharedVarTest, ResourceWaitIsPartOfOneJob) {
+    // b's one job blocks on the held variable (Waiting-for-resource) and is
+    // woken when a releases it. The wake resumes the job, it does not
+    // release a new one: one activation.
+    k::Simulator sim;
+    r::Processor cpu1("cpu1", std::make_unique<r::PriorityPreemptivePolicy>(),
+                      GetParam());
+    r::Processor cpu2("cpu2", std::make_unique<r::PriorityPreemptivePolicy>(),
+                      GetParam());
+    m::SharedVariable<int> sv("sv", 0);
+    cpu1.create_task({.name = "a", .priority = 1}, [&](r::Task&) {
+        auto g = sv.access();
+        rtsc::kernel::wait(20_us);
+    });
+    r::Task& b = cpu2.create_task({.name = "b", .priority = 1},
+                                  [&](r::Task&) { (void)sv.read(); });
+    sim.run();
+    EXPECT_EQ(b.stats().waiting_resource_time, 20_us);
+    EXPECT_EQ(b.stats().activations, 1u);
+    EXPECT_EQ(b.job_index(), 0u);
+}
+
 TEST_P(SharedVarTest, BlockedTaskEntersWaitingResourceState) {
     k::Simulator sim;
     r::Processor cpu("cpu", std::make_unique<r::PriorityPreemptivePolicy>(),

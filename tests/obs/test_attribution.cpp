@@ -654,3 +654,54 @@ TEST(Attribution, MissReportsNameTheCriticalPath) {
         EXPECT_EQ(total, rep.measured) << label;
     }
 }
+
+TEST(Attribution, MissReportsLinkTheViolatingJobExactly) {
+    // Two tasks share the name "T", run on two CPUs and miss their bound at
+    // the same instant with the same response time. Only the task identity
+    // and job index tell the violations apart: T on cpu2 spends 60 us of its
+    // response preempted by H, T on cpu1 none.
+    for (const auto kind : kEngines) {
+        const char* label = kind == r::EngineKind::procedure_calls
+                                ? "procedural"
+                                : "threaded";
+        k::Simulator sim;
+        r::Processor cpu1("cpu1",
+                          std::make_unique<r::PriorityPreemptivePolicy>(), kind);
+        r::Processor cpu2("cpu2",
+                          std::make_unique<r::PriorityPreemptivePolicy>(), kind);
+        o::Attribution attr;
+        attr.attach(cpu1);
+        attr.attach(cpu2);
+        rtsc::trace::ConstraintMonitor mon;
+
+        r::Task& plain = cpu1.create_task(
+            {.name = "T", .priority = 1},
+            [](r::Task& self) { self.compute(100_us); });
+        r::Task& preempted = cpu2.create_task(
+            {.name = "T", .priority = 1},
+            [](r::Task& self) { self.compute(40_us); });
+        cpu2.create_task({.name = "H", .priority = 5, .start_time = 10_us},
+                         [](r::Task& self) { self.compute(60_us); });
+        mon.require_response(plain, 50_us);
+        mon.require_response(preempted, 50_us);
+        sim.run();
+
+        ASSERT_EQ(mon.violations().size(), 2u) << label;
+        const auto reports = attr.miss_reports(mon);
+        ASSERT_EQ(reports.size(), 2u) << label;
+        for (std::size_t i = 0; i < reports.size(); ++i) {
+            const auto& v = mon.violations()[i];
+            const auto& rep = reports[i];
+            EXPECT_EQ(v.at, 100_us) << label;
+            EXPECT_EQ(v.measured, 100_us) << label;
+            EXPECT_EQ(v.job, 0u) << label;
+            ASSERT_NE(rep.job, nullptr) << label;
+            const bool is_preempted = v.task == &preempted;
+            EXPECT_EQ(rep.job->preemption, is_preempted ? 60_us : Time{})
+                << label;
+            EXPECT_EQ(rep.critical_path.size(), is_preempted ? 3u : 1u)
+                << label;
+        }
+        EXPECT_NE(reports[0].job, reports[1].job) << label;
+    }
+}

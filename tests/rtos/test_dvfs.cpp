@@ -238,6 +238,38 @@ TEST_P(DvfsEngineTest, LaEdfRunsFullSpeedAtTheDeadline) {
     EXPECT_EQ(sim.now(), 10_us); // never left full speed while running
 }
 
+TEST_P(DvfsEngineTest, LaEdfReleasesTheBudgetOfATaskKilledWhileReady) {
+    // A waits in Ready behind B (later EDF deadline) and is killed there.
+    // The kill aborts A's job, which ends its LA-EDF budget like a
+    // completion: when B completes at 20 us nothing is pending and the
+    // policy coasts at the slowest point. A leaked budget (A still
+    // "released" with 20 us of work due by 30 us) would demand full speed.
+    k::Simulator sim;
+    r::Processor cpu("cpu", std::make_unique<r::LaEdfPolicy>(), GetParam());
+    cpu.set_dvfs(r::DvfsModel({{1'000'000, 1000}, {250'000, 700}}));
+    auto& pol = dynamic_cast<r::LaEdfPolicy&>(cpu.policy());
+    r::Task& b = cpu.create_task({.name = "B", .priority = 1},
+                                 [](r::Task& self) { self.compute(20_us); });
+    r::Task& a = cpu.create_task({.name = "A", .priority = 1, .start_time = 5_us},
+                                 [](r::Task& self) { self.compute(20_us); });
+    b.set_absolute_deadline(20_us);
+    a.set_absolute_deadline(30_us);
+    pol.declare_task(b, 20_us, 100_us);
+    pol.declare_task(a, 20_us, 100_us);
+    sim.spawn("killer", [&] {
+        k::wait(6_us);
+        ASSERT_EQ(a.state(), r::TaskState::ready);
+        a.kill();
+    });
+    sim.run();
+
+    EXPECT_TRUE(a.killed());
+    EXPECT_EQ(a.stats().activations, 1u);
+    EXPECT_EQ(a.stats().running_time, Time::zero());
+    EXPECT_EQ(b.stats().running_time, 20_us); // full speed while B's job ran
+    EXPECT_EQ(cpu.dvfs_level(), 1u);
+}
+
 TEST_P(DvfsEngineTest, OutOfRangePolicyLevelIsAnEngineError) {
     struct BadPolicy : r::PriorityPreemptivePolicy {
         std::size_t dvfs_level(const r::Processor&, const r::Task*) override {
