@@ -4,12 +4,13 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstring>
 #include <new>
 #include <utility>
 
 #include "kernel/report.hpp"
 
-// ASan cannot follow swapcontext on its own (it sees one linear stack and
+// ASan cannot follow a stack switch on its own (it sees one linear stack and
 // reports false use-after-scope when we land on another fiber); the fiber
 // annotations below tell it about every switch so sanitized builds are
 // clean. See https://github.com/google/sanitizers/issues/189.
@@ -21,6 +22,7 @@
 #endif
 #endif
 #ifdef RTSC_ASAN_FIBERS
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 
@@ -37,6 +39,45 @@
 #endif
 #ifdef RTSC_TSAN_FIBERS
 #include <sanitizer/tsan_interface.h>
+#endif
+
+#if defined(__x86_64__)
+// rtsc_kernel_swap_stacks(void** save_sp, void* load_sp): push what the
+// SysV psABI makes callee-saved (rbp, rbx, r12-r15, the MXCSR control bits
+// and the x87 control word), store rsp to *save_sp, load rsp from load_sp
+// and pop the same frame off the other stack. The ret lands wherever the
+// other side last called in, or, on a fresh stack, in the first frame the
+// Coroutine constructor built. No signal mask, no syscall.
+extern "C" void rtsc_kernel_swap_stacks(void** save_sp, void* load_sp);
+asm(".pushsection .text\n"
+    ".globl rtsc_kernel_swap_stacks\n"
+    ".hidden rtsc_kernel_swap_stacks\n"
+    ".type rtsc_kernel_swap_stacks, @function\n"
+    ".p2align 4\n"
+    "rtsc_kernel_swap_stacks:\n"
+    "    pushq %rbp\n"
+    "    pushq %rbx\n"
+    "    pushq %r12\n"
+    "    pushq %r13\n"
+    "    pushq %r14\n"
+    "    pushq %r15\n"
+    "    subq $16, %rsp\n"
+    "    stmxcsr 8(%rsp)\n"
+    "    fnstcw (%rsp)\n"
+    "    movq %rsp, (%rdi)\n"
+    "    movq %rsi, %rsp\n"
+    "    fldcw (%rsp)\n"
+    "    ldmxcsr 8(%rsp)\n"
+    "    addq $16, %rsp\n"
+    "    popq %r15\n"
+    "    popq %r14\n"
+    "    popq %r13\n"
+    "    popq %r12\n"
+    "    popq %rbx\n"
+    "    popq %rbp\n"
+    "    ret\n"
+    ".size rtsc_kernel_swap_stacks, .-rtsc_kernel_swap_stacks\n"
+    ".popsection\n");
 #endif
 
 namespace rtsc::kernel {
@@ -94,23 +135,46 @@ Coroutine* Coroutine::current() noexcept { return g_current; }
 Coroutine::Coroutine(Body body, std::size_t stack_bytes) : body_(std::move(body)) {
     const std::size_t pg = page_size();
     const std::size_t usable = round_up(stack_bytes < 4 * pg ? 4 * pg : stack_bytes, pg);
-    map_bytes_ = usable + pg; // one guard page below the stack
-    void* mem = ::mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
+    const std::size_t map_bytes = usable + pg; // one guard page below the stack
+    void* mem = ::mmap(nullptr, map_bytes, PROT_READ | PROT_WRITE,
                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
     if (mem == MAP_FAILED) throw std::bad_alloc{};
-    stack_base_ = mem;
-    ::mprotect(mem, pg, PROT_NONE);
+    if (::mprotect(mem, pg, PROT_NONE) != 0) {
+        ::munmap(mem, map_bytes);
+        throw std::bad_alloc{};
+    }
+    stack_ = static_cast<char*>(mem) + pg;
+    stack_bytes_ = usable;
+#ifdef RTSC_ASAN_FIBERS
+    // The mapping may reuse a destroyed coroutine's addresses, whose shadow
+    // still holds the redzones of frames that never returned.
+    ASAN_UNPOISON_MEMORY_REGION(stack_, stack_bytes_);
+#endif
 
+#if defined(__x86_64__)
+    // The first frame rtsc_kernel_swap_stacks pops: this thread's FP control
+    // state, zeroed registers (rbp = 0 ends frame-pointer walks), then a ret
+    // into trampoline() with rsp as a call leaves it (16-byte aligned + 8)
+    // over a null return address, where unwinders stop.
+    std::uint32_t mxcsr = 0;
+    std::uint16_t fpu_cw = 0;
+    asm volatile("stmxcsr %0" : "=m"(mxcsr));
+    asm volatile("fnstcw %0" : "=m"(fpu_cw));
+    const std::uintptr_t frame[] = {
+        fpu_cw, mxcsr,
+        0, 0, 0, 0, 0, 0, // r15 r14 r13 r12 rbx rbp
+        reinterpret_cast<std::uintptr_t>(&Coroutine::trampoline),
+        0,
+    };
+    sp_ = static_cast<char*>(stack_) + usable - sizeof frame;
+    std::memcpy(sp_, frame, sizeof frame);
+#else
     ::getcontext(&ctx_);
-    ctx_.uc_stack.ss_sp = static_cast<char*>(mem) + pg;
-    ctx_.uc_stack.ss_size = usable;
+    ctx_.uc_stack.ss_sp = stack_;
+    ctx_.uc_stack.ss_size = stack_bytes_;
     ctx_.uc_link = nullptr; // bodies always return through run_body -> yield
-
-    // makecontext only passes ints; split the object pointer across two.
-    const auto self = reinterpret_cast<std::uintptr_t>(this);
-    ::makecontext(&ctx_, reinterpret_cast<void (*)()>(&Coroutine::trampoline), 2,
-                  static_cast<unsigned>(self >> 32),
-                  static_cast<unsigned>(self & 0xffffffffu));
+    ::makecontext(&ctx_, &Coroutine::trampoline, 0);
+#endif
 
 #ifdef RTSC_TSAN_FIBERS
     tsan_fiber_ = __tsan_create_fiber(0);
@@ -121,13 +185,30 @@ Coroutine::~Coroutine() {
 #ifdef RTSC_TSAN_FIBERS
     if (tsan_fiber_) __tsan_destroy_fiber(tsan_fiber_);
 #endif
-    if (stack_base_) ::munmap(stack_base_, map_bytes_);
+    if (stack_)
+        ::munmap(static_cast<char*>(stack_) - page_size(), stack_bytes_ + page_size());
 }
 
-void Coroutine::trampoline(unsigned hi, unsigned lo) {
-    auto* self = reinterpret_cast<Coroutine*>((static_cast<std::uintptr_t>(hi) << 32) |
-                                              static_cast<std::uintptr_t>(lo));
-    self->run_body();
+void Coroutine::trampoline() {
+    // resume() sets g_current before every switch in, the first one too.
+    // run_body() never returns: it ends with the final switch out.
+    g_current->run_body();
+}
+
+void Coroutine::switch_in() {
+#if defined(__x86_64__)
+    rtsc_kernel_swap_stacks(&return_sp_, sp_);
+#else
+    ::swapcontext(&return_ctx_, &ctx_);
+#endif
+}
+
+void Coroutine::switch_out() {
+#if defined(__x86_64__)
+    rtsc_kernel_swap_stacks(&sp_, return_sp_);
+#else
+    ::swapcontext(&ctx_, &return_ctx_);
+#endif
 }
 
 void Coroutine::run_body() {
@@ -146,7 +227,7 @@ void Coroutine::run_body() {
     // so its fake stack is destroyed (nullptr) rather than parked.
     start_switch_fiber(nullptr, asan_return_stack_, asan_return_stack_size_);
     tsan_switch_fiber(tsan_caller_);
-    ::swapcontext(&ctx_, &return_ctx_);
+    switch_out();
 }
 
 void Coroutine::resume() {
@@ -156,10 +237,10 @@ void Coroutine::resume() {
     g_current = this;
     started_ = true;
     void* caller_fake = nullptr;
-    start_switch_fiber(&caller_fake, ctx_.uc_stack.ss_sp, ctx_.uc_stack.ss_size);
+    start_switch_fiber(&caller_fake, stack_, stack_bytes_);
     tsan_caller_ = tsan_this_fiber();
     tsan_switch_fiber(tsan_fiber_);
-    ::swapcontext(&return_ctx_, &ctx_);
+    switch_in();
     finish_switch_fiber(caller_fake, nullptr, nullptr);
     g_current = prev;
     if (eptr_) {
@@ -172,7 +253,7 @@ void Coroutine::yield() {
     start_switch_fiber(&asan_fake_stack_, asan_return_stack_,
                        asan_return_stack_size_);
     tsan_switch_fiber(tsan_caller_);
-    ::swapcontext(&ctx_, &return_ctx_);
+    switch_out();
     // Re-entered: refresh the resumer's stack extents — a different context
     // (e.g. a task performing a kill) may have resumed us this time.
     finish_switch_fiber(asan_fake_stack_, &asan_return_stack_,

@@ -1,6 +1,9 @@
-// Unit tests for the ucontext coroutine layer.
+// Unit tests for the stackful coroutine layer.
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cstdint>
+#include <cstdio>
 #include <stdexcept>
 #include <vector>
 
@@ -114,4 +117,72 @@ TEST(CoroutineTest, DeepStackUsageWithinLimit) {
     Coroutine co([&] { result = rec(100); });
     co.resume();
     EXPECT_EQ(result, 0);
+}
+
+namespace {
+// Recurses until the stack runs out. The volatile frame contents and the
+// work after the call keep it a real, non-tail recursion at any -O level.
+[[gnu::noinline]] int recurse_past_stack_end(volatile int* depth) {
+    volatile char pad[256];
+    *depth = *depth + 1;
+    pad[0] = static_cast<char>(*depth);
+    if (*depth < 0) return pad[0]; // never: the guard page stops us first
+    return recurse_past_stack_end(depth) + pad[0];
+}
+} // namespace
+
+TEST(CoroutineDeathTest, StackOverflowHitsGuardPage) {
+    // A plain build dies of SIGSEGV on the guard page, an ASan build with
+    // its stack-overflow report; either way the process must not survive
+    // by writing below the stack into whatever is mapped there.
+    EXPECT_DEATH(
+        {
+            volatile int depth = 0;
+            Coroutine co([&] { recurse_past_stack_end(&depth); }, 16 * 1024);
+            co.resume();
+        },
+        "");
+}
+
+TEST(CoroutineTest, FloatingPointControlStateIsPerCoroutine) {
+    // 1/3 rounds differently to nearest and upward, so the quotient tells
+    // which SSE rounding mode (MXCSR) is live; fegetround() reads the x87
+    // control word.
+    volatile double one = 1.0, three = 3.0;
+    ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+    const double nearest = one / three;
+    int mode_after_resume = -1;
+    double quotient_after_resume = 0;
+    Coroutine co([&] {
+        std::fesetround(FE_UPWARD);
+        Coroutine::current()->yield();
+        mode_after_resume = std::fegetround();
+        quotient_after_resume = one / three;
+    });
+    co.resume();
+    EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+    EXPECT_EQ(one / three, nearest);
+    co.resume();
+    EXPECT_EQ(mode_after_resume, FE_UPWARD);
+    EXPECT_GT(quotient_after_resume, nearest);
+    EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+    EXPECT_EQ(one / three, nearest);
+}
+
+TEST(CoroutineTest, FreshStackIsAlignedForSse) {
+    // The volatile round trip hides the address from the optimizer, which
+    // would otherwise fold the check to true on the alignas promise.
+    std::uintptr_t misalignment = 1;
+    char text[32] = {};
+    Coroutine co([&] {
+        alignas(16) char local[16] = {};
+        volatile std::uintptr_t addr = reinterpret_cast<std::uintptr_t>(local);
+        misalignment = addr % 16;
+        // printf's floating-point path spills SSE registers with aligned
+        // stores; a misaligned entry frame faults here.
+        std::snprintf(text, sizeof text, "%f", 0.5);
+    });
+    co.resume();
+    EXPECT_EQ(misalignment, 0u);
+    EXPECT_STREQ(text, "0.500000");
 }
