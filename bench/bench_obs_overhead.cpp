@@ -14,9 +14,9 @@
 // A fourth lane times the full live-telemetry stack: collector plus a
 // PerfettoStreamWriter spooling the trace to disk as the run progresses and
 // a MetricsSampler emitting counter tracks each simulated millisecond. Its
-// cost is dominated by sequential spool I/O (~80% over bare on this
-// dispatch-dense micro-workload; real scenarios with computation amortize
-// far better), so it gets its own gate: RTSC_OBS_STREAM_GATE_PCT,
+// cost is event rendering and sequential spool I/O (~+120% over bare on
+// this dispatch-dense micro-workload; real scenarios with computation
+// amortize far better), so it gets its own gate: RTSC_OBS_STREAM_GATE_PCT,
 // defaulting to 10x the hook gate.
 //
 // The measured deltas land in BENCH_obs.json (same line-based entry format

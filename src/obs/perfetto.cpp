@@ -10,28 +10,9 @@ namespace rtsc::obs {
 namespace k = rtsc::kernel;
 
 std::string json_escape(std::string_view s) {
-    static const char* hex = "0123456789abcdef";
     std::string out;
     out.reserve(s.size());
-    for (const unsigned char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\b': out += "\\b"; break;
-            case '\f': out += "\\f"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (c < 0x20) {
-                    out += "\\u00";
-                    out += hex[(c >> 4) & 0xf];
-                    out += hex[c & 0xf];
-                } else {
-                    out += static_cast<char>(c);
-                }
-        }
-    }
+    pfmt::append_escaped(out, s);
     return out;
 }
 

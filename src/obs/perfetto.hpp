@@ -37,7 +37,7 @@
 //
 // Timestamps are exact: ts/dur are emitted in microseconds with up to six
 // fractional digits (picosecond resolution, the kernel's native unit) via
-// trace::format_us — never through a lossy double round-trip. Names pass
+// trace::append_us — never through a lossy double round-trip. Names pass
 // through JSON string escaping, so hostile task/relation names stay valid.
 //
 // The output is deterministic: identical recorder content yields

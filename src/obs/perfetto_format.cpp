@@ -1,12 +1,12 @@
 #include "obs/perfetto_format.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <concepts>
 #include <ostream>
 
 #include "kernel/report.hpp"
-#include "obs/perfetto.hpp"
 #include "rtos/dvfs.hpp"
 #include "trace/csv.hpp"
 
@@ -27,155 +27,130 @@ void require_finite(std::string_view name, double value) {
                                  "' sampled a non-finite value");
 }
 
-/// Energy in joules as a round-trippable JSON number.
-std::string format_joules(rtos::Energy e) {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", rtos::energy_to_joules(e));
-    return buf;
+/// put() pieces: JSON string content to escape, a time in microseconds.
+struct Esc {
+    std::string_view s;
+};
+struct Us {
+    k::Time t;
+};
+
+void put1(std::string& w, std::string_view raw) { w += raw; }
+void put1(std::string& w, char c) { w += c; }
+void put1(std::string& w, Esc e) { append_escaped(w, e.s); }
+void put1(std::string& w, Us u) { trace::append_us(w, u.t); }
+void put1(std::string& w, double v) { append_number(w, v); }
+template <std::integral T>
+    requires(!std::same_as<T, bool> && !std::same_as<T, char>)
+void put1(std::string& w, T v) {
+    char buf[24];
+    w.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
-std::string ps(k::Time t) { return std::to_string(t.raw_ps()); }
-
-std::string time_map(const std::vector<std::pair<std::string, k::Time>>& m) {
-    std::string out = "{";
-    bool first = true;
-    for (const auto& [name, t] : m) {
-        if (!first) out += ", ";
-        first = false;
-        out += "\"" + json_escape(name) + "\": " + ps(t);
-    }
-    return out + "}";
+/// Append each piece in place: text as is, Esc escaped, Us as microseconds,
+/// integers and doubles as JSON numbers.
+template <class... P>
+void put(std::string& w, const P&... p) {
+    (put1(w, p), ...);
 }
 
-std::string str_list(const std::vector<std::string>& v) {
-    std::string out = "[";
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        if (i != 0) out += ", ";
-        out += "\"" + json_escape(v[i]) + "\"";
-    }
-    return out + "]";
+/// A complete slice up to its optional args; `name` is put() pieces.
+template <class... Name>
+void slice(std::string& w, int pid, int tid, k::Time at, k::Time dur,
+           std::string_view cat, const Name&... name) {
+    put(w, "{\"name\": \"", name..., "\", \"cat\": \"", Esc{cat},
+        "\", \"ph\": \"X\", \"ts\": ", Us{at}, ", \"dur\": ", Us{dur},
+        ", \"pid\": ", pid, ", \"tid\": ", tid);
 }
 
-std::string meta_process(int pid, std::string_view name) {
-    std::string e = "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": ";
-    e += std::to_string(pid);
-    e += ", \"tid\": 0, \"args\": {\"name\": \"";
-    e += json_escape(name);
-    e += "\"}}";
-    return e;
+/// An instant of `scope` ('t' thread, 'g' global) up to its optional args.
+template <class... Name>
+void instant(std::string& w, int pid, int tid, k::Time at, char scope,
+             std::string_view cat, const Name&... name) {
+    put(w, "{\"name\": \"", name..., "\", \"cat\": \"", Esc{cat},
+        "\", \"ph\": \"i\", \"s\": \"", scope, "\", \"ts\": ", Us{at},
+        ", \"pid\": ", pid, ", \"tid\": ", tid);
 }
 
-std::string meta_thread(int pid, int tid, std::string_view name) {
-    std::string e = "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": ";
-    e += std::to_string(pid);
-    e += ", \"tid\": ";
-    e += std::to_string(tid);
-    e += ", \"args\": {\"name\": \"";
-    e += json_escape(name);
-    e += "\"}}";
-    return e;
+void put_time_map(std::string& w,
+                  const std::vector<std::pair<std::string, k::Time>>& m) {
+    w += '{';
+    for (std::size_t i = 0; i < m.size(); ++i)
+        put(w, i == 0 ? "\"" : ", \"", Esc{m[i].first}, "\": ",
+            m[i].second.raw_ps());
+    w += '}';
 }
 
-std::string slice(int pid, int tid, k::Time at, k::Time dur,
-                  std::string_view cat, std::string_view name,
-                  const std::string& args_json = {}) {
-    std::string e = "{\"name\": \"";
-    e += json_escape(name);
-    e += "\", \"cat\": \"";
-    e += json_escape(cat);
-    e += "\", \"ph\": \"X\", \"ts\": ";
-    e += trace::format_us(at);
-    e += ", \"dur\": ";
-    e += trace::format_us(dur);
-    e += ", \"pid\": ";
-    e += std::to_string(pid);
-    e += ", \"tid\": ";
-    e += std::to_string(tid);
-    if (!args_json.empty()) {
-        e += ", \"args\": ";
-        e += args_json;
-    }
-    e += '}';
-    return e;
-}
-
-std::string instant(int pid, int tid, k::Time at, char scope,
-                    std::string_view cat, std::string_view name,
-                    const std::string& args_json = {}) {
-    std::string e = "{\"name\": \"";
-    e += json_escape(name);
-    e += "\", \"cat\": \"";
-    e += json_escape(cat);
-    e += "\", \"ph\": \"i\", \"s\": \"";
-    e += scope;
-    e += "\", \"ts\": ";
-    e += trace::format_us(at);
-    e += ", \"pid\": ";
-    e += std::to_string(pid);
-    e += ", \"tid\": ";
-    e += std::to_string(tid);
-    if (!args_json.empty()) {
-        e += ", \"args\": ";
-        e += args_json;
-    }
-    e += '}';
-    return e;
-}
-
-std::string counter_sample(int pid, k::Time at, std::string_view name,
-                           double value) {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", value);
-    std::string e = "{\"name\": \"";
-    e += json_escape(name);
-    e += "\", \"ph\": \"C\", \"ts\": ";
-    e += trace::format_us(at);
-    e += ", \"pid\": ";
-    e += std::to_string(pid);
-    e += ", \"tid\": 0, \"args\": {\"value\": ";
-    e += buf;
-    e += "}}";
-    return e;
-}
-
-/// Flow endpoint of a culprit->victim blocking arrow: ph 's' starts it,
-/// 'f' finishes it bound to the enclosing slice.
-std::string flow(char ph, std::uint64_t id, k::Time at, int pid, int tid) {
-    std::string e =
-        "{\"name\": \"blocking\", \"cat\": \"blocking\", \"ph\": \"";
-    e += ph;
-    e += ph == 'f' ? "\", \"bp\": \"e\", \"id\": " : "\", \"id\": ";
-    e += std::to_string(id);
-    e += ", \"ts\": ";
-    e += trace::format_us(at);
-    e += ", \"pid\": ";
-    e += std::to_string(pid);
-    e += ", \"tid\": ";
-    e += std::to_string(tid);
-    e += '}';
-    return e;
+void put_str_list(std::string& w, const std::vector<std::string>& v) {
+    w += '[';
+    for (std::size_t i = 0; i < v.size(); ++i)
+        put(w, i == 0 ? "\"" : ", \"", Esc{v[i]}, '"');
+    w += ']';
 }
 
 /// Where a task's slices live: its processor's pid, its state track and its
-/// jobs track. Keyed by task name: Attribution records names so its
-/// results outlive the model.
+/// jobs track, plus its recorded jobs in release order. Keyed by task name:
+/// Attribution records names so its results outlive the model.
 struct Track {
     int pid = 0;
     int state_tid = 0;
     int jobs_tid = 0;
+    std::vector<const Attribution::JobRecord*> jobs;
 };
 
 } // namespace
+
+void append_escaped(std::string& out, std::string_view s) {
+    static constexpr char hex[] = "0123456789abcdef";
+    // Copy the longest prefix that needs no escaping in one go: for the
+    // usual name that is all of it.
+    std::size_t i = 0;
+    while (i < s.size() && static_cast<unsigned char>(s[i]) >= 0x20 &&
+           s[i] != '"' && s[i] != '\\')
+        ++i;
+    out.append(s.data(), i);
+    for (; i < s.size(); ++i) {
+        const auto c = static_cast<unsigned char>(s[i]);
+        switch (c) {
+            case '"': out += "\\\""; break;
+            case '\\': out += "\\\\"; break;
+            case '\b': out += "\\b"; break;
+            case '\f': out += "\\f"; break;
+            case '\n': out += "\\n"; break;
+            case '\r': out += "\\r"; break;
+            case '\t': out += "\\t"; break;
+            default:
+                if (c < 0x20) {
+                    out += "\\u00";
+                    out += hex[c >> 4];
+                    out += hex[c & 0xf];
+                } else {
+                    out += static_cast<char>(c);
+                }
+        }
+    }
+}
+
+void append_number(std::string& out, double value) {
+    char buf[32]; // "-d.dddddddddddddddde-308" fits
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, value,
+                                  std::chars_format::general, 17)
+                        .ptr);
+}
 
 EventWriter::EventWriter(std::ostream& os, std::size_t window_bytes)
     : os_(os), window_limit_(window_bytes) {
     os_ << "{\"traceEvents\": [\n";
 }
 
-void EventWriter::emit(const std::string& event) {
+std::string& EventWriter::open_event() {
     if (!first_) window_ += ",\n";
     first_ = false;
-    window_ += event;
+    return window_;
+}
+
+void EventWriter::close_event() {
+    window_ += '}';
     ++stats_.events;
     stats_.window_bytes = window_.size();
     if (window_.size() > stats_.peak_window_bytes)
@@ -212,9 +187,11 @@ void EventWriter::task_state(k::Time at, const rtos::Task& task,
             if (tasks[ti].get() == &task) cur.tid = static_cast<int>(ti) + 1;
     }
     if (from == to) return; // creation announcement
-    if (visible_state(cur.prev_state) && at > cur.prev_at)
-        emit(slice(cur.pid, cur.tid, cur.prev_at, at - cur.prev_at,
-                   "task_state", rtos::to_string(cur.prev_state)));
+    if (visible_state(cur.prev_state) && at > cur.prev_at) {
+        slice(open_event(), cur.pid, cur.tid, cur.prev_at, at - cur.prev_at,
+              "task_state", rtos::to_string(cur.prev_state));
+        close_event();
+    }
     cur.prev_at = at;
     cur.prev_state = to;
 }
@@ -226,10 +203,11 @@ void EventWriter::overhead(const rtos::Processor& cpu, rtos::OverheadKind kind,
     if (duration.is_zero()) return;
     const int pid = pid_of(cpu);
     if (pid == 0) return; // overhead of an unregistered processor
-    std::string args;
+    std::string& w = open_event();
+    slice(w, pid, 0, start, duration, "rtos", rtos::to_string(kind));
     if (about != nullptr)
-        args = "{\"task\": \"" + json_escape(about->name()) + "\"}";
-    emit(slice(pid, 0, start, duration, "rtos", rtos::to_string(kind), args));
+        put(w, ", \"args\": {\"task\": \"", Esc{about->name()}, "\"}");
+    close_event();
 }
 
 void EventWriter::access(k::Time at, const mcse::Relation& rel,
@@ -240,20 +218,21 @@ void EventWriter::access(k::Time at, const mcse::Relation& rel,
     for (std::size_t ri = 0; ri < relations_.size(); ++ri)
         if (relations_[ri] == &rel) tid = static_cast<int>(ri) + 1;
     if (tid == 0) return;
-    std::string args = "{\"task\": \"";
-    args += task != nullptr ? json_escape(task->name()) : "<hw>";
-    args += blocked ? "\", \"blocked\": true}" : "\", \"blocked\": false}";
-    emit(instant(comm_pid(), tid, at, 't', "comm",
-                 std::string(mcse::to_string(kind)) +
-                     (blocked ? " [blocked]" : ""),
-                 args));
+    std::string& w = open_event();
+    instant(w, comm_pid(), tid, at, 't', "comm", mcse::to_string(kind),
+            blocked ? " [blocked]" : "");
+    put(w, ", \"args\": {\"task\": \"",
+        Esc{task != nullptr ? std::string_view(task->name()) : "<hw>"},
+        blocked ? "\", \"blocked\": true}" : "\", \"blocked\": false}");
+    close_event();
 }
 
 void EventWriter::marker(k::Time at, std::string_view category,
                          std::string_view name) {
     note_time(at);
     any_marker_ = true;
-    emit(instant(marker_pid(), 1, at, 'g', category, name));
+    instant(open_event(), marker_pid(), 1, at, 'g', category, Esc{name});
+    close_event();
 }
 
 void EventWriter::counter(const rtos::Processor& cpu, k::Time at,
@@ -263,7 +242,7 @@ void EventWriter::counter(const rtos::Processor& cpu, k::Time at,
         throw k::SimulationError("counter() on a processor never attached "
                                  "to this PerfettoStreamWriter");
     require_finite(name, value);
-    emit(counter_sample(pid, at, name, value));
+    counter_sample(pid, at, name, value);
 }
 
 void EventWriter::counter(std::string_view process, k::Time at,
@@ -276,7 +255,23 @@ void EventWriter::counter(std::string_view process, k::Time at,
         idx = static_cast<int>(counter_procs_.size());
         counter_procs_.emplace_back(process);
     }
-    emit(counter_sample(marker_pid() + 1 + idx, at, name, value));
+    counter_sample(marker_pid() + 1 + idx, at, name, value);
+}
+
+void EventWriter::counter_sample(int pid, k::Time at, std::string_view name,
+                                 double value) {
+    put(open_event(), "{\"name\": \"", Esc{name}, "\", \"ph\": \"C\", \"ts\": ",
+        Us{at}, ", \"pid\": ", pid, ", \"tid\": 0, \"args\": {\"value\": ",
+        value, '}');
+    close_event();
+}
+
+void EventWriter::meta(std::string_view kind, int pid, int tid,
+                       std::string_view name, std::string_view suffix) {
+    put(open_event(), "{\"name\": \"", kind, "\", \"ph\": \"M\", \"pid\": ",
+        pid, ", \"tid\": ", tid, ", \"args\": {\"name\": \"", Esc{name},
+        Esc{suffix}, "\"}");
+    close_event();
 }
 
 void EventWriter::finish(
@@ -290,9 +285,12 @@ void EventWriter::finish(
             if (it == cursors_.end()) continue;
             const TaskCursor& cur = it->second;
             const k::Time end = std::max(cur.prev_at, trace_end_);
-            if (visible_state(cur.prev_state) && end > cur.prev_at)
-                emit(slice(cur.pid, cur.tid, cur.prev_at, end - cur.prev_at,
-                           "task_state", rtos::to_string(cur.prev_state)));
+            if (visible_state(cur.prev_state) && end > cur.prev_at) {
+                slice(open_event(), cur.pid, cur.tid, cur.prev_at,
+                      end - cur.prev_at, "task_state",
+                      rtos::to_string(cur.prev_state));
+                close_event();
+            }
         }
     }
 
@@ -304,26 +302,28 @@ void EventWriter::finish(
     for (std::size_t pi = 0; pi < processors_.size(); ++pi) {
         const int pid = static_cast<int>(pi) + 1;
         const auto& tasks = processors_[pi]->tasks();
-        emit(meta_process(pid, processors_[pi]->name()));
-        emit(meta_thread(pid, 0, processors_[pi]->name() + ".rtos"));
+        meta("process_name", pid, 0, processors_[pi]->name());
+        meta("thread_name", pid, 0, processors_[pi]->name(), ".rtos");
         for (std::size_t ti = 0; ti < tasks.size(); ++ti)
-            emit(meta_thread(pid, static_cast<int>(ti) + 1, tasks[ti]->name()));
+            meta("thread_name", pid, static_cast<int>(ti) + 1,
+                 tasks[ti]->name());
         if (attribution != nullptr)
             for (std::size_t ti = 0; ti < tasks.size(); ++ti)
-                emit(meta_thread(pid, static_cast<int>(tasks.size() + 1 + ti),
-                                 tasks[ti]->name() + ".jobs"));
+                meta("thread_name", pid,
+                     static_cast<int>(tasks.size() + 1 + ti),
+                     tasks[ti]->name(), ".jobs");
     }
     if (!relations_.empty()) {
-        emit(meta_process(comm_pid(), "comm"));
+        meta("process_name", comm_pid(), 0, "comm");
         for (std::size_t ri = 0; ri < relations_.size(); ++ri)
-            emit(meta_thread(comm_pid(), static_cast<int>(ri) + 1,
-                             relations_[ri]->name() + " (" +
-                                 relations_[ri]->type_name() + ")"));
+            meta("thread_name", comm_pid(), static_cast<int>(ri) + 1,
+                 relations_[ri]->name(),
+                 std::string(" (") + relations_[ri]->type_name() + ")");
     }
-    if (any_marker_) emit(meta_process(marker_pid(), "events"));
+    if (any_marker_) meta("process_name", marker_pid(), 0, "events");
     for (std::size_t ci = 0; ci < counter_procs_.size(); ++ci)
-        emit(meta_process(marker_pid() + 1 + static_cast<int>(ci),
-                          counter_procs_[ci]));
+        meta("process_name", marker_pid() + 1 + static_cast<int>(ci), 0,
+             counter_procs_[ci]);
 
     if (attribution != nullptr) emit_attribution(*attribution, misses);
 
@@ -344,8 +344,13 @@ void EventWriter::emit_attribution(
             tracks.emplace(tasks[ti]->name(),
                            Track{static_cast<int>(pi) + 1,
                                  static_cast<int>(ti) + 1,
-                                 static_cast<int>(tasks.size() + 1 + ti)});
+                                 static_cast<int>(tasks.size() + 1 + ti),
+                                 {}});
     }
+    // Group the jobs by task in one pass, keeping jobs() order per task.
+    for (const auto& j : attribution.jobs())
+        if (const auto it = tracks.find(j.task); it != tracks.end())
+            it->second.jobs.push_back(&j);
 
     // One complete slice per job on the task's jobs track, blame
     // decomposition as args in exact picoseconds. Jobs of one task are
@@ -353,43 +358,43 @@ void EventWriter::emit_attribution(
     // monotonic; zero-response jobs are dropped (the validator rejects
     // zero-width slices) — their decomposition is all-zero anyway.
     for (const auto& [name, tr] : tracks) {
-        for (const auto* j : attribution.jobs_for(name)) {
+        for (const auto* j : tr.jobs) {
             if (j->response().is_zero()) continue;
-            std::string args = "{\"task\": \"" + json_escape(j->task) +
-                               "\", \"index\": " + std::to_string(j->index) +
-                               ", \"release_ps\": " + ps(j->release) +
-                               ", \"end_ps\": " + ps(j->end) +
-                               ", \"response_ps\": " + ps(j->response()) +
-                               ", \"aborted\": " +
-                               (j->aborted ? "true" : "false") +
-                               ", \"exec_ps\": " + ps(j->exec) +
-                               ", \"preempt_ps\": " + ps(j->preemption) +
-                               ", \"block_ps\": " + ps(j->blocking) +
-                               ", \"overhead_ps\": " + ps(j->overhead) +
-                               ", \"interrupt_ps\": " + ps(j->interrupt) +
-                               ", \"ov_sched_ps\": " + ps(j->ov_scheduling) +
-                               ", \"ov_load_ps\": " + ps(j->ov_load) +
-                               ", \"ov_save_ps\": " + ps(j->ov_save) +
-                               ", \"ov_switch_ps\": " + ps(j->ov_switch) +
-                               ", \"residual_ps\": " + ps(j->residual) +
-                               // Raw model units as strings (128-bit,
-                               // exact); joules as doubles for humans.
-                               ", \"energy_exec_fj\": \"" +
-                               rtos::energy_to_string(j->energy_exec) +
-                               "\", \"energy_overhead_fj\": \"" +
-                               rtos::energy_to_string(j->energy_overhead) +
-                               "\", \"energy_exec_j\": " +
-                               format_joules(j->energy_exec) +
-                               ", \"energy_overhead_j\": " +
-                               format_joules(j->energy_overhead) +
-                               ", \"preempted_by\": " +
-                               time_map(j->preempted_by) +
-                               ", \"blocked_on\": " +
-                               time_map(j->blocked_on) + "}";
-            emit(slice(tr.pid, tr.jobs_tid, j->release, j->response(), "job",
-                       "job #" + std::to_string(j->index) +
-                           (j->aborted ? " (aborted)" : ""),
-                       args));
+            std::string& w = open_event();
+            slice(w, tr.pid, tr.jobs_tid, j->release, j->response(), "job",
+                  "job #", j->index, j->aborted ? " (aborted)" : "");
+            put(w, ", \"args\": {\"task\": \"", Esc{j->task},
+                "\", \"index\": ", j->index,
+                ", \"release_ps\": ", j->release.raw_ps(),
+                ", \"end_ps\": ", j->end.raw_ps(),
+                ", \"response_ps\": ", j->response().raw_ps(),
+                j->aborted ? ", \"aborted\": true" : ", \"aborted\": false",
+                ", \"exec_ps\": ", j->exec.raw_ps(),
+                ", \"preempt_ps\": ", j->preemption.raw_ps(),
+                ", \"block_ps\": ", j->blocking.raw_ps(),
+                ", \"overhead_ps\": ", j->overhead.raw_ps(),
+                ", \"interrupt_ps\": ", j->interrupt.raw_ps(),
+                ", \"ov_sched_ps\": ", j->ov_scheduling.raw_ps(),
+                ", \"ov_load_ps\": ", j->ov_load.raw_ps(),
+                ", \"ov_save_ps\": ", j->ov_save.raw_ps(),
+                ", \"ov_switch_ps\": ", j->ov_switch.raw_ps(),
+                ", \"residual_ps\": ", j->residual.raw_ps(),
+                // Raw model units as strings (128-bit, exact); joules as
+                // doubles for humans.
+                ", \"energy_exec_fj\": \"",
+                rtos::energy_to_string(j->energy_exec),
+                "\", \"energy_overhead_fj\": \"",
+                rtos::energy_to_string(j->energy_overhead),
+                "\", \"energy_exec_j\": ",
+                rtos::energy_to_joules(j->energy_exec),
+                ", \"energy_overhead_j\": ",
+                rtos::energy_to_joules(j->energy_overhead),
+                ", \"preempted_by\": ");
+            put_time_map(w, j->preempted_by);
+            w += ", \"blocked_on\": ";
+            put_time_map(w, j->blocked_on);
+            w += '}';
+            close_event();
         }
     }
 
@@ -400,56 +405,63 @@ void EventWriter::emit_attribution(
     for (const auto& e : attribution.episodes()) {
         const auto vit = tracks.find(e.victim);
         if (vit == tracks.end()) continue;
-        std::string args =
-            "{\"victim\": \"" + json_escape(e.victim) +
-            "\", \"job\": " + std::to_string(e.job_index) +
-            ", \"resource\": \"" + json_escape(e.resource) +
-            "\", \"owner\": \"" + json_escape(e.owner) +
-            "\", \"victim_priority\": " + std::to_string(e.victim_priority) +
-            ", \"owner_priority\": " + std::to_string(e.owner_priority) +
-            ", \"duration_ps\": " + ps(e.duration()) +
-            ", \"inversion\": " + (e.inversion ? "true" : "false") +
-            ", \"chain\": " + str_list(e.chain) +
-            ", \"aggravators\": " + str_list(e.aggravators) + "}";
-        emit(instant(vit->second.pid, vit->second.jobs_tid, e.start, 't',
-                     "blocking_chain",
-                     "blocked on " + e.resource +
-                         (e.inversion ? " [inversion]" : ""),
-                     args));
+        std::string& w = open_event();
+        instant(w, vit->second.pid, vit->second.jobs_tid, e.start, 't',
+                "blocking_chain", "blocked on ", Esc{e.resource},
+                e.inversion ? " [inversion]" : "");
+        put(w, ", \"args\": {\"victim\": \"", Esc{e.victim},
+            "\", \"job\": ", e.job_index, ", \"resource\": \"",
+            Esc{e.resource}, "\", \"owner\": \"", Esc{e.owner},
+            "\", \"victim_priority\": ", e.victim_priority,
+            ", \"owner_priority\": ", e.owner_priority,
+            ", \"duration_ps\": ", e.duration().raw_ps(),
+            e.inversion ? ", \"inversion\": true" : ", \"inversion\": false",
+            ", \"chain\": ");
+        put_str_list(w, e.chain);
+        w += ", \"aggravators\": ";
+        put_str_list(w, e.aggravators);
+        w += '}';
+        close_event();
         const auto oit = tracks.find(e.owner);
         if (oit == tracks.end()) continue;
-        emit(flow('s', flow_id, e.start, oit->second.pid,
-                  oit->second.state_tid));
-        emit(flow('f', flow_id, e.end, vit->second.pid,
-                  vit->second.state_tid));
+        flow('s', flow_id, e.start, oit->second.pid, oit->second.state_tid);
+        flow('f', flow_id, e.end, vit->second.pid, vit->second.state_tid);
         ++flow_id;
     }
 
     // Deadline misses with their critical path.
-    if (misses != nullptr) {
-        for (const auto& m : *misses) {
-            const auto vit = tracks.find(m.task);
-            if (vit == tracks.end()) continue;
-            std::string args =
-                "{\"task\": \"" + json_escape(m.task) +
-                "\", \"constraint\": \"" + json_escape(m.constraint) +
-                "\", \"measured_ps\": " + ps(m.measured) +
-                ", \"bound_ps\": " + ps(m.bound) + ", \"critical_path\": [";
-            for (std::size_t i = 0; i < m.critical_path.size(); ++i) {
-                const auto& item = m.critical_path[i];
-                if (i != 0) args += ", ";
-                args += "{\"start_ps\": " + ps(item.start) +
-                        ", \"dur_ps\": " + ps(item.duration) +
-                        ", \"culprit\": \"" + json_escape(item.culprit) +
-                        "\", \"reason\": \"" + json_escape(item.reason) +
-                        "\"}";
-            }
-            args += "]}";
-            emit(instant(vit->second.pid, vit->second.jobs_tid, m.at, 't',
-                         "deadline_miss", "deadline miss: " + m.constraint,
-                         args));
+    if (misses == nullptr) return;
+    for (const auto& m : *misses) {
+        const auto vit = tracks.find(m.task);
+        if (vit == tracks.end()) continue;
+        std::string& w = open_event();
+        instant(w, vit->second.pid, vit->second.jobs_tid, m.at, 't',
+                "deadline_miss", "deadline miss: ", Esc{m.constraint});
+        put(w, ", \"args\": {\"task\": \"", Esc{m.task},
+            "\", \"constraint\": \"", Esc{m.constraint},
+            "\", \"measured_ps\": ", m.measured.raw_ps(),
+            ", \"bound_ps\": ", m.bound.raw_ps(), ", \"critical_path\": [");
+        for (std::size_t i = 0; i < m.critical_path.size(); ++i) {
+            const auto& item = m.critical_path[i];
+            put(w, i == 0 ? "{\"start_ps\": " : ", {\"start_ps\": ",
+                item.start.raw_ps(), ", \"dur_ps\": ",
+                item.duration.raw_ps(), ", \"culprit\": \"",
+                Esc{item.culprit}, "\", \"reason\": \"", Esc{item.reason},
+                "\"}");
         }
+        w += "]}";
+        close_event();
     }
+}
+
+/// Flow endpoint of a culprit->victim blocking arrow: ph 's' starts it,
+/// 'f' finishes it bound to the enclosing slice.
+void EventWriter::flow(char ph, std::uint64_t id, k::Time at, int pid,
+                       int tid) {
+    put(open_event(), "{\"name\": \"blocking\", \"cat\": \"blocking\", "
+        "\"ph\": \"", ph, ph == 'f' ? "\", \"bp\": \"e\", \"id\": " : "\", \"id\": ",
+        id, ", \"ts\": ", Us{at}, ", \"pid\": ", pid, ", \"tid\": ", tid);
+    close_event();
 }
 
 } // namespace rtsc::obs::pfmt

@@ -15,10 +15,15 @@
 //
 // Events are appended, ",\n"-separated, to an in-memory window that is
 // written to the ostream once it reaches window_bytes (0 writes every event
-// through). Every event string is built by allocation-light append
-// formatting in perfetto_format.cpp.
+// through). Each event is rendered in place at the window's end:
+// std::to_chars for integers and counter values, integer arithmetic for
+// microsecond times (trace::append_us) and JSON escaping that copies a name
+// unchanged when no byte needs escaping. No event builds a temporary string
+// or calls snprintf, so the steady state allocates nothing once the window
+// has reached its working size.
 
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <map>
 #include <string>
@@ -32,6 +37,14 @@
 #include "rtos/task.hpp"
 
 namespace rtsc::obs::pfmt {
+
+/// Append `s` escaped for a JSON string literal (without the quotes):
+/// quote, backslash and control characters are escaped (\u00XX for those
+/// without a short form), every other byte is copied.
+void append_escaped(std::string& out, std::string_view s);
+
+/// Append the %.17g rendering of a finite `value` (round-trippable).
+void append_number(std::string& out, double value);
 
 class EventWriter {
 public:
@@ -93,7 +106,16 @@ private:
         int tid = 0;
     };
 
-    void emit(const std::string& event);
+    /// Start an event: the separator, then the caller appends the object
+    /// to the returned window, all but its closing brace.
+    std::string& open_event();
+    /// Close the object, count the event and flush a full window.
+    void close_event();
+    void meta(std::string_view kind, int pid, int tid, std::string_view name,
+              std::string_view suffix = {});
+    void counter_sample(int pid, kernel::Time at, std::string_view name,
+                        double value);
+    void flow(char ph, std::uint64_t id, kernel::Time at, int pid, int tid);
     void flush_window();
     void emit_attribution(
         const Attribution& attribution,
