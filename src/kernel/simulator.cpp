@@ -309,6 +309,16 @@ void Simulator::yield() {
     suspend_current();
 }
 
+bool Simulator::pending_activity_at_current_time() const noexcept {
+    // Timed entries due at now() are left out on purpose: the run loop
+    // advances the timed queue only once the runnable queue, the delta
+    // notifications and the zero-time waiters have all drained, so they
+    // cannot fire between the caller's suspension and its resumption.
+    return sweep_cursor_ + 1 < runnable_.size() || !delta_pending_.empty() ||
+           !zero_waiters_.empty() || !update_requests_.empty() ||
+           stop_requested_;
+}
+
 void Simulator::wait(Time duration) {
     Process& p = require_process("wait(Time)");
     if (duration.is_zero()) {
@@ -436,10 +446,10 @@ void Simulator::evaluate_phase() {
     // shift unvisited elements across the cursor. If a process body throws,
     // the nulls are dropped so only unprocessed entries remain queued.
     try {
-    for (std::size_t i = 0; i < runnable_.size(); ++i) {
-        Process* p = runnable_[i];
+    for (sweep_cursor_ = 0; sweep_cursor_ < runnable_.size(); ++sweep_cursor_) {
+        Process* p = runnable_[sweep_cursor_];
         if (p == nullptr) continue;
-        runnable_[i] = nullptr;
+        runnable_[sweep_cursor_] = nullptr;
         p->runnable_ = false;
         if (p->terminated_) continue;
         current_process_ = p;

@@ -108,6 +108,14 @@ public:
     /// granted task body at the position a notify-granted one would get.
     void yield();
 
+    /// From inside a process (SystemC's sc_pending_activity_at_current_time):
+    /// true when anything else can still happen at this instant — a process
+    /// queued after the caller in this evaluate sweep, a pending delta
+    /// notification, another wait(Time::zero())er, a pending update request
+    /// or a stop() request. When false, wait(Time::zero()) and yield() would
+    /// resume the caller next with nothing in between.
+    [[nodiscard]] bool pending_activity_at_current_time() const noexcept;
+
     /// The process currently executing, or nullptr in scheduler context.
     [[nodiscard]] Process* current_process() const noexcept { return current_process_; }
 
@@ -258,6 +266,7 @@ private:
 
     std::vector<std::unique_ptr<Process>> processes_;
     std::vector<Process*> runnable_;
+    std::size_t sweep_cursor_ = 0;      ///< evaluate sweep position in runnable_
     TimingWheel wheel_;                 ///< timed notifications and timeouts
     /// One-slot staging buffer for the newest armed process timeout: in the
     /// common single-runnable pattern (compute / overhead charge) it fires

@@ -326,13 +326,16 @@ bool SchedulerEngine::await_dispatch(Task& t, std::optional<TimedWait> timed) {
     // notify-granted equivalent, and same-instant task bodies on DIFFERENT
     // processors interleave differently between the engines (found by the
     // schedule-space explorer: a cross-CPU release/acquire race at the same
-    // instant resolved differently per engine).
+    // instant resolved differently per engine). With nothing else pending
+    // at this instant the yield would resume this thread next, so it is
+    // skipped.
     bool notified = false;
     bool timed_out = false;
     for (;;) {
         if (t.granted_) {
             t.granted_ = false;
-            if (!notified) k::Simulator::current().yield();
+            k::Simulator& sim = processor_.simulator();
+            if (!notified && sim.pending_activity_at_current_time()) sim.yield();
             break;
         }
         if (t.kicked_) {
@@ -375,7 +378,8 @@ bool SchedulerEngine::await_dispatch(Task& t, std::optional<TimedWait> timed) {
 
 void SchedulerEngine::run_deferred_pass(Task& runner, bool charge_save) {
     pass_runner_ = &runner;
-    k::wait(k::Time::zero());
+    k::Simulator& sim = processor_.simulator();
+    if (sim.pending_activity_at_current_time()) sim.wait(k::Time::zero());
     if (charge_save) charge(OverheadKind::context_save, &runner);
     schedule_pass(&runner);
     pass_runner_ = nullptr;

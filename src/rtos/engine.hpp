@@ -205,7 +205,9 @@ protected:
     };
 
     /// Wait until granted — executing scheduling passes when kicked
-    /// (procedural engine only) — then charge load and enter Running. With
+    /// (procedural engine only) — then charge load and enter Running. A
+    /// grant observed synchronously yields one sweep turn first, unless
+    /// nothing else is pending at this instant. With
     /// a `timed` wait the task readies itself at the deadline unless a
     /// delivery made it ready first; returns false exactly when it did.
     bool await_dispatch(Task& t, std::optional<TimedWait> timed = std::nullopt);
@@ -213,8 +215,9 @@ protected:
     /// Procedural engine: one scheduling pass executed in `runner`'s own
     /// thread, deferred by one delta cycle so other same-instant arrivals
     /// are already in the ready queue (the §4.1 engine's RTOS thread
-    /// naturally runs after them). `pass_runner_` covers the deferral and
-    /// the pass: a kill landing meanwhile lets the charges complete.
+    /// naturally runs after them) — skipped when nothing else can happen at
+    /// this instant. `pass_runner_` covers the deferral and the pass: a
+    /// kill landing meanwhile lets the charges complete.
     void run_deferred_pass(Task& runner, bool charge_save);
 
     void push_ready(Task& t, bool front);

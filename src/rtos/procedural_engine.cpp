@@ -12,11 +12,12 @@ void ProceduralEngine::reschedule_after_leave(Task& leaver, bool charge_save,
                                               bool /*sync*/) {
     // Everything happens synchronously in the leaving task's thread
     // (Figure 5: the blocked/preempted task's thread executes TaskContextSave
-    // and the Scheduling portion of the RTOS overhead). The pass is deferred
-    // one delta so the engines agree on the state every charge observes; a
-    // kill landing meanwhile cannot retract it, exactly as it cannot retract
-    // the threaded engine's already-queued reschedule request — the killed
-    // leaver then unwinds from its dispatch wait.
+    // and the Scheduling portion of the RTOS overhead). When other activity
+    // is pending at this instant the pass is deferred one delta, so the
+    // engines agree on the state every charge observes; a kill landing
+    // meanwhile cannot retract it, exactly as it cannot retract the threaded
+    // engine's already-queued reschedule request — the killed leaver then
+    // unwinds from its dispatch wait.
     run_deferred_pass(leaver, charge_save);
     retire_if_terminated(leaver);
 }

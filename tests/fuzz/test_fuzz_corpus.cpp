@@ -96,6 +96,20 @@ TEST(FuzzCorpus, DigestsMatchTheGoldenValues) {
     }
 }
 
+TEST(FuzzCorpus, ProceduralEngineNeedsFewerActivations) {
+    // The paper's §4 ordering on every corpus model: the procedure-call
+    // engine simulates the same behaviour with fewer kernel activations.
+    for (const auto& path : corpus_files()) {
+        SCOPED_TRACE(path.filename().string());
+        const fuzz::ModelSpec spec = fuzz::from_text(slurp(path));
+        EXPECT_LT(
+            fuzz::run_model(spec, rtsc::rtos::EngineKind::procedure_calls)
+                .kernel_activations,
+            fuzz::run_model(spec, rtsc::rtos::EngineKind::rtos_thread)
+                .kernel_activations);
+    }
+}
+
 TEST(FuzzCorpus, EnginesAgreeOnEveryModel) {
     for (const auto& path : corpus_files()) {
         SCOPED_TRACE(path.filename().string());

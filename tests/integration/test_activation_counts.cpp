@@ -3,7 +3,9 @@
 // kernel process activations and RTOS dispatches on each engine. Both are
 // deterministic, so any change to an engine's blocking, scheduling-pass or
 // dispatch path shows up here: an intended change updates the pins and the
-// F3/F5 table in EXPERIMENTS.md, an accidental one fails.
+// F3/F5 table in EXPERIMENTS.md, an accidental one fails. The §4 ordering
+// itself (the procedural engine needs fewer activations) is gated at every
+// ring size of the F3/F5 table.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -35,11 +37,11 @@ TEST_P(ActivationGate, TokenRingMatchesPinnedCounts) {
 
 INSTANTIATE_TEST_SUITE_P(
     TokenRing, ActivationGate,
-    ::testing::Values(Pin{r::EngineKind::procedure_calls, 2, 4286, 442},
+    ::testing::Values(Pin{r::EngineKind::procedure_calls, 2, 3051, 442},
                       Pin{r::EngineKind::rtos_thread, 2, 3966, 442},
-                      Pin{r::EngineKind::procedure_calls, 8, 5133, 570},
+                      Pin{r::EngineKind::procedure_calls, 8, 3794, 570},
                       Pin{r::EngineKind::rtos_thread, 8, 5053, 570},
-                      Pin{r::EngineKind::procedure_calls, 32, 8521, 1080},
+                      Pin{r::EngineKind::procedure_calls, 32, 6764, 1080},
                       Pin{r::EngineKind::rtos_thread, 32, 9399, 1080}),
     [](const auto& info) {
         return std::string(info.param.engine == r::EngineKind::procedure_calls
@@ -47,5 +49,22 @@ INSTANTIATE_TEST_SUITE_P(
                                : "threaded") +
                "_" + std::to_string(info.param.tasks) + "tasks";
     });
+
+class EngineOrdering : public ::testing::TestWithParam<int> {};
+
+TEST_P(EngineOrdering, ProceduralNeedsFewerActivationsThanThreaded) {
+    const int tasks = GetParam();
+    const auto procedural =
+        rtsc::bench::run_token_ring(r::EngineKind::procedure_calls, tasks, kRounds);
+    const auto threaded =
+        rtsc::bench::run_token_ring(r::EngineKind::rtos_thread, tasks, kRounds);
+    EXPECT_LT(procedural.activations, threaded.activations);
+}
+
+INSTANTIATE_TEST_SUITE_P(TokenRing, EngineOrdering,
+                         ::testing::Values(2, 4, 8, 16, 32),
+                         [](const auto& info) {
+                             return std::to_string(info.param) + "tasks";
+                         });
 
 } // namespace

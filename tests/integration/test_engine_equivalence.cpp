@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <random>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "kernel/simulator.hpp"
@@ -316,3 +317,87 @@ TEST_P(EquivalenceTest, RunsAreDeterministic) {
 
 INSTANTIATE_TEST_SUITE_P(RandomPrograms, EquivalenceTest,
                          ::testing::Range<std::uint64_t>(1, 41));
+
+namespace {
+
+/// Recorder rows (state transitions, then overhead charges) in recorded
+/// order.
+std::vector<std::string> recorder_rows(const tr::Recorder& rec) {
+    std::vector<std::string> rows;
+    for (const auto& s : rec.states()) {
+        if (s.from == s.to) continue;
+        rows.push_back(s.at.to_string() + " " + s.task->name() + " " +
+                       r::to_string(s.from) + "->" + r::to_string(s.to));
+    }
+    for (const auto& o : rec.overheads())
+        rows.push_back(o.at.to_string() + " " + r::to_string(o.kind) + " " +
+                       o.duration.to_string() + " " +
+                       (o.about != nullptr ? o.about->name() : "-"));
+    return rows;
+}
+
+/// At 50 us two hardware processes ready T1 and T2 on an idle CPU. T1's own
+/// bounded wait expires at that instant too, so its thread is already
+/// queued in the evaluate sweep between the two wakers: the procedural
+/// engine's kicked pass runs in T1's thread before H2 has readied T2. Only
+/// the one-delta deferral, taken because H2 is still queued after T1, lets
+/// that pass see both arrivals, as the threaded engine's RTOS thread
+/// (queued behind H2 by the kick) does. The scheduling charge counts ready
+/// tasks, so a pass run too early charges 1 us instead of 2 us.
+std::vector<std::string> run_same_instant_wakers(r::EngineKind kind) {
+    k::Simulator sim;
+    r::Processor cpu("cpu", std::make_unique<r::PriorityPreemptivePolicy>(),
+                     kind);
+    r::RtosOverheads ov;
+    ov.scheduling = r::OverheadModel::formula([](const r::SystemState& s) {
+        return Time::us(1) * static_cast<Time::rep>(s.ready_tasks);
+    });
+    ov.context_load = 2_us;
+    ov.context_save = 3_us;
+    cpu.set_overheads(ov);
+    tr::Recorder rec;
+    rec.attach(cpu);
+    m::Event e1("e1");
+    m::Event e2("e2");
+    cpu.create_task({.name = "T1", .priority = 2}, [&](r::Task& self) {
+        // The bound ends at 50 us, when H1 signals.
+        EXPECT_TRUE(e1.await_for(50_us - sim.now()));
+        self.compute(10_us);
+    });
+    // T2 arrives while T1's first pass is charged, so no pass before 50 us
+    // depends on the sweep order.
+    cpu.create_task({.name = "T2", .priority = 1, .start_time = 1_us},
+                    [&](r::Task& self) {
+                        e2.await();
+                        self.compute(10_us);
+                    });
+    // Same-instant timed wakes run in arming order: H1 (armed at 0), T1's
+    // bound (armed once its leave pass ended, before 20 us), H2 (armed at
+    // 20 us). The wakers park instead of returning: a terminating process
+    // delta-notifies its done event, which would defer the pass anyway.
+    k::Event never("never");
+    sim.spawn("H1", [&] {
+        k::wait(50_us);
+        e1.signal();
+        k::wait(never);
+    });
+    sim.spawn("H2", [&] {
+        k::wait(20_us);
+        k::wait(30_us);
+        e2.signal();
+        k::wait(never);
+    });
+    sim.run();
+    return recorder_rows(rec);
+}
+
+} // namespace
+
+TEST(EngineEquivalence, SameInstantWakersShareTheKickedPass) {
+    const auto proc = run_same_instant_wakers(r::EngineKind::procedure_calls);
+    const auto thrd = run_same_instant_wakers(r::EngineKind::rtos_thread);
+    EXPECT_EQ(proc, thrd);
+    // The threaded engine's pass at 50 us sees both T1 and T2 ready.
+    EXPECT_NE(std::find(thrd.begin(), thrd.end(), "50 us scheduling 2 us T1"),
+              thrd.end());
+}

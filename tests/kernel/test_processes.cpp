@@ -211,3 +211,114 @@ TEST(ProcessTest, UserDataRoundTrips) {
     p.user_data = &tag;
     EXPECT_EQ(*static_cast<int*>(p.user_data), 42);
 }
+
+// ---- pending_activity_at_current_time (IEEE 1666's
+// sc_pending_activity_at_current_time): one case per clause that makes it
+// true, each checked false just before its trigger. A terminating process
+// delta-notifies its done event, so the probes park on `never` instead of
+// returning. ----
+
+TEST(PendingActivityTest, LoneProcessSeesNothing) {
+    Simulator sim;
+    std::vector<bool> seen;
+    Event later("later");
+    sim.spawn("sleeper", [&] { k::wait(later); });
+    sim.spawn("p", [&] {
+        k::wait(1_us);
+        // Timed activity at a later instant is not activity now.
+        later.notify(2_us);
+        seen.push_back(sim.pending_activity_at_current_time());
+        k::wait(Time::zero());
+        seen.push_back(sim.pending_activity_at_current_time());
+    });
+    sim.run();
+    EXPECT_EQ(seen, (std::vector<bool>{false, false}));
+}
+
+TEST(PendingActivityTest, ProcessQueuedLaterInTheSweep) {
+    Simulator sim;
+    std::vector<std::string> seen;
+    Event go("go");
+    const auto probe = [&](const char* who) {
+        seen.push_back(std::string(who) + "=" +
+                       (sim.pending_activity_at_current_time() ? "1" : "0"));
+    };
+    Event never("never");
+    sim.spawn("woken", [&] {
+        k::wait(go);
+        probe("woken");
+        k::wait(never);
+    });
+    sim.spawn("first", [&] {
+        probe("first");
+        k::wait(never);
+    });
+    sim.spawn("second", [&] {
+        probe("second");
+        // A process woken by an immediate notify joins this very sweep.
+        go.notify();
+        probe("second");
+        k::wait(never);
+    });
+    sim.run();
+    EXPECT_EQ(seen, (std::vector<std::string>{"first=1", "second=0",
+                                              "second=1", "woken=0"}));
+}
+
+TEST(PendingActivityTest, DeltaNotificationPending) {
+    Simulator sim;
+    std::vector<bool> seen;
+    Event e("e");
+    sim.spawn("p", [&] {
+        seen.push_back(sim.pending_activity_at_current_time());
+        e.notify(Time::zero());
+        seen.push_back(sim.pending_activity_at_current_time());
+    });
+    sim.run();
+    EXPECT_EQ(seen, (std::vector<bool>{false, true}));
+}
+
+TEST(PendingActivityTest, AnotherProcessWaitsZeroTime) {
+    Simulator sim;
+    std::vector<bool> seen;
+    Event never("never");
+    sim.spawn("waiter", [&] {
+        k::wait(Time::zero());
+        k::wait(never);
+    });
+    sim.spawn("p", [&] {
+        seen.push_back(sim.pending_activity_at_current_time());
+        k::wait(Time::zero());
+        // The waiter resumed ahead of us and parked.
+        seen.push_back(sim.pending_activity_at_current_time());
+    });
+    sim.run();
+    EXPECT_EQ(seen, (std::vector<bool>{true, false}));
+}
+
+TEST(PendingActivityTest, UpdateRequestPending) {
+    struct Hook final : k::UpdateHook {
+        void update() override {}
+    } hook;
+    Simulator sim;
+    std::vector<bool> seen;
+    sim.spawn("p", [&] {
+        seen.push_back(sim.pending_activity_at_current_time());
+        sim.request_update(hook);
+        seen.push_back(sim.pending_activity_at_current_time());
+    });
+    sim.run();
+    EXPECT_EQ(seen, (std::vector<bool>{false, true}));
+}
+
+TEST(PendingActivityTest, StopRequested) {
+    Simulator sim;
+    std::vector<bool> seen;
+    sim.spawn("p", [&] {
+        seen.push_back(sim.pending_activity_at_current_time());
+        sim.stop();
+        seen.push_back(sim.pending_activity_at_current_time());
+    });
+    sim.run();
+    EXPECT_EQ(seen, (std::vector<bool>{false, true}));
+}

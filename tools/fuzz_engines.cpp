@@ -18,6 +18,8 @@
 // the model down to a minimal reproducer (--no-shrink to skip), writes the
 // shrunk spec next to the cwd as fuzz_divergence_<seed>.model and, with
 // --emit-test <path>, renders a self-contained GoogleTest regression file.
+// Every sweep summary also reports the §4 count: kernel activations summed
+// per engine and the models where the procedural engine was not cheaper.
 // Exit status: 0 = all seeds equivalent, 1 = divergence found, 2 = usage.
 
 #include <cerrno>
@@ -78,6 +80,44 @@ std::uint64_t parse_u64(const char* s) {
         std::exit(2);
     }
     return v;
+}
+
+/// The paper's §4 count over a sweep: kernel activations summed per engine,
+/// and the models on which the procedural engine was not the cheaper one.
+struct ActivationTally {
+    std::uint64_t procedural = 0;
+    std::uint64_t threaded = 0;
+    std::uint64_t not_cheaper = 0;
+
+    void add(std::uint64_t proc, std::uint64_t thrd) {
+        procedural += proc;
+        threaded += thrd;
+        if (proc >= thrd) ++not_cheaper;
+    }
+
+    void print() const {
+        std::printf("activations: procedural %llu, threaded %llu; "
+                    "procedural >= threaded on %llu models\n",
+                    static_cast<unsigned long long>(procedural),
+                    static_cast<unsigned long long>(threaded),
+                    static_cast<unsigned long long>(not_cheaper));
+    }
+};
+
+/// Tally the per-scenario activation metrics of a campaign sweep.
+ActivationTally tally_of(const campaign::CampaignReport& report) {
+    ActivationTally tally;
+    for (const auto& res : report.results) {
+        if (!res.ok) continue;
+        double proc = 0, thrd = 0;
+        for (const auto& [name, value] : res.metrics) {
+            if (name == "procedural_activations") proc = value;
+            if (name == "threaded_activations") thrd = value;
+        }
+        tally.add(static_cast<std::uint64_t>(proc),
+                  static_cast<std::uint64_t>(thrd));
+    }
+    return tally;
 }
 
 /// Handle one confirmed divergence: report, shrink, persist artifacts.
@@ -144,11 +184,14 @@ int run_one(const fuzz::ModelSpec& spec, const Options& opt) {
 /// Serial sweep: generate + diff each seed inline, stop at first divergence.
 int sweep_serial(const Options& opt) {
     std::uint64_t checked = 0;
+    ActivationTally tally;
     for (std::uint64_t i = 0; i < opt.seeds; ++i) {
         const std::uint64_t seed = opt.start + i;
         const fuzz::ModelSpec spec = fuzz::generate(seed);
-        const fuzz::Divergence d = fuzz::diff_engines(spec);
+        fuzz::RunResult proc, thrd;
+        const fuzz::Divergence d = fuzz::diff_engines(spec, &proc, &thrd);
         ++checked;
+        tally.add(proc.kernel_activations, thrd.kernel_activations);
         if (d.diverged) {
             std::printf("[%llu/%llu seeds]\n",
                         static_cast<unsigned long long>(checked),
@@ -162,6 +205,7 @@ int sweep_serial(const Options& opt) {
     }
     std::printf("%llu seeds: all equivalent\n",
                 static_cast<unsigned long long>(checked));
+    tally.print();
     return 0;
 }
 
@@ -182,6 +226,10 @@ campaign::CampaignReport sweep_campaign(const Options& opt, unsigned workers) {
                             static_cast<double>(proc.states.size()));
                  ctx.metric("end_us",
                             static_cast<double>(proc.end_ps) / 1e6);
+                 ctx.metric("procedural_activations",
+                            static_cast<double>(proc.kernel_activations));
+                 ctx.metric("threaded_activations",
+                            static_cast<double>(thrd.kernel_activations));
                  if (d.diverged) ctx.note("divergence", d.to_string());
              }});
     }
@@ -223,6 +271,7 @@ int sweep_parallel(const Options& opt) {
                 report.results.size(), report.workers,
                 static_cast<unsigned long long>(divergent),
                 report.failures());
+    tally_of(report).print();
     return rc;
 }
 
@@ -241,13 +290,13 @@ double engine_throughput(const Options& opt, rtsc::rtos::EngineKind kind) {
     return sec > 0 ? static_cast<double>(opt.seeds) / sec : 0.0;
 }
 
-campaign::MetricSummary throughput_summary(const std::string& name,
-                                           double models_per_sec,
-                                           std::size_t n) {
+/// A whole-sweep figure in the per-metric summary shape.
+campaign::MetricSummary sweep_summary(const std::string& name, double value,
+                                      std::size_t n) {
     campaign::MetricSummary m;
     m.name = name;
     m.count = n;
-    m.min = m.max = m.mean = m.p50 = m.p90 = m.p99 = models_per_sec;
+    m.min = m.max = m.mean = m.p50 = m.p90 = m.p99 = value;
     return m;
 }
 
@@ -271,15 +320,26 @@ int bench(const Options& opt) {
         engine_throughput(opt, rtsc::rtos::EngineKind::procedure_calls);
     const double thrd_tput =
         engine_throughput(opt, rtsc::rtos::EngineKind::rtos_thread);
-    entry.metrics.push_back(throughput_summary(
+    entry.metrics.push_back(sweep_summary(
         "procedural_models_per_sec", proc_tput, opt.seeds));
-    entry.metrics.push_back(throughput_summary(
+    entry.metrics.push_back(sweep_summary(
         "threaded_models_per_sec", thrd_tput, opt.seeds));
+    const ActivationTally tally = tally_of(serial);
+    entry.metrics.push_back(sweep_summary(
+        "procedural_activations_total",
+        static_cast<double>(tally.procedural), opt.seeds));
+    entry.metrics.push_back(sweep_summary(
+        "threaded_activations_total", static_cast<double>(tally.threaded),
+        opt.seeds));
+    entry.metrics.push_back(sweep_summary(
+        "procedural_not_cheaper_models",
+        static_cast<double>(tally.not_cheaper), opt.seeds));
     campaign::write_bench_entry(opt.bench, entry);
     std::printf("throughput: procedural %.1f models/s, threaded %.1f models/s "
                 "(x%.2f)\n",
                 proc_tput, thrd_tput,
                 thrd_tput > 0 ? proc_tput / thrd_tput : 0.0);
+    tally.print();
     std::printf("bench: %zu models, serial %.1f ms, parallel %.1f ms "
                 "(x%.2f, %u workers), digests %s -> %s\n",
                 entry.scenarios, entry.serial_ms, entry.parallel_ms,
