@@ -6,7 +6,6 @@
 
 #include <memory>
 
-#include "kernel/channels.hpp"
 #include "kernel/simulator.hpp"
 #include "mcse/event.hpp"
 #include "mcse/message_queue.hpp"

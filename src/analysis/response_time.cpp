@@ -70,8 +70,14 @@ std::vector<RtaResult> response_time_analysis(
 
 kernel::Time hyperperiod(const std::vector<PeriodicTask>& tasks) {
     k::Time::rep l = 1;
-    for (const auto& t : tasks)
-        l = std::lcm(l, t.period.raw_ps());
+    for (const auto& t : tasks) {
+        const k::Time::rep p = t.period.raw_ps();
+        if (p == 0) return k::Time::zero(); // as std::lcm: lcm(x, 0) == 0
+        // lcm(l, p) = l / gcd * p, checked: random period sets in ps easily
+        // exceed 64 bits, and std::lcm's overflow is undefined.
+        if (__builtin_mul_overflow(l / std::gcd(l, p), p, &l))
+            return k::Time::max();
+    }
     return k::Time::ps(l);
 }
 

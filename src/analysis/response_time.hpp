@@ -63,7 +63,8 @@ struct RtaResult {
     const std::vector<PeriodicTask>& tasks, const RtaOptions& opts = {});
 
 /// Hyperperiod (LCM of periods) — the natural simulation horizon for
-/// validating a periodic set exhaustively.
+/// validating a periodic set exhaustively. Saturates at Time::max() when the
+/// LCM does not fit in 64 bits of picoseconds.
 [[nodiscard]] kernel::Time hyperperiod(const std::vector<PeriodicTask>& tasks);
 
 } // namespace rtsc::analysis

@@ -2,6 +2,8 @@
 // Simulation events with SystemC sc_event semantics.
 //
 // An event carries no value; it wakes the processes that are waiting on it.
+// Each waiting process is registered with exactly one event (Simulator::wait
+// takes one), so an event's waiter list is the whole of its wake fan-out.
 // At most one *pending* (delayed) notification exists per event at any time,
 // with SystemC's override rules:
 //   - notify()            immediate: triggers right now, cancels any pending
@@ -31,7 +33,7 @@ public:
     Event& operator=(const Event&) = delete;
 
     /// Safe to destroy while processes wait on it: the waiters are
-    /// unregistered (they will simply never be woken by this event).
+    /// unregistered, so only a timeout (or a kill) can still wake them.
     ~Event();
 
     /// Immediate notification: every process waiting on this event becomes

@@ -1,16 +1,17 @@
 #pragma once
 // A simulation process: a named coroutine scheduled by the Simulator.
 //
-// Processes correspond to SystemC SC_THREADs. They are created via
-// Simulator::spawn() and run for the first time at simulation start (or, if
-// spawned mid-simulation, in the next evaluation phase). A process suspends
-// itself through the wait() family and terminates by returning from its body.
+// Processes correspond to SystemC SC_THREADs; the kernel has no other kind.
+// They are created via Simulator::spawn() and run for the first time at
+// simulation start (or, if spawned mid-simulation, in the next evaluation
+// phase). A process suspends itself through the wait() family, registered
+// with at most one event at a time, and terminates by returning from its
+// body.
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "kernel/context.hpp"
 #include "kernel/event.hpp"
@@ -27,15 +28,10 @@ public:
     /// kill wake turns into a ProcessKilled throw before wait() returns.
     enum class WakeReason : std::uint8_t { none, event, timeout, killed };
 
-    /// SC_THREAD-like (own stack, suspends via wait) or SC_METHOD-like
-    /// (plain callback re-armed by its sensitivity / next_trigger).
-    enum class Kind : std::uint8_t { thread, method };
-
     Process(const Process&) = delete;
     Process& operator=(const Process&) = delete;
 
     [[nodiscard]] const std::string& name() const noexcept { return name_; }
-    [[nodiscard]] Kind kind() const noexcept { return kind_; }
     [[nodiscard]] bool terminated() const noexcept { return terminated_; }
     /// Notified (delta) when the process body returns; usable for joins.
     [[nodiscard]] Event& done_event() noexcept { return *done_event_; }
@@ -71,17 +67,11 @@ private:
     friend class Simulator;
 
     Process(Simulator& sim, std::string name, std::function<void()> body,
-            std::size_t stack_bytes);                    // thread
-    Process(Simulator& sim, std::string name, std::function<void()> callback,
-            std::vector<Event*> sensitivity);            // method
+            std::size_t stack_bytes);
 
     Simulator& sim_;
     std::string name_;
-    Kind kind_ = Kind::thread;
-    std::unique_ptr<Coroutine> coro_;                    // threads only
-    std::function<void()> method_callback_;              // methods only
-    std::vector<Event*> static_sensitivity_;             // methods only
-    bool next_trigger_armed_ = false;                    // dynamic override
+    std::unique_ptr<Coroutine> coro_;
     std::unique_ptr<Event> done_event_;
     bool terminated_ = false;
     bool runnable_ = false;              ///< already queued for execution
@@ -91,13 +81,12 @@ private:
     std::uint64_t activations_ = 0;
 
     // --- wait bookkeeping (owned by Simulator) ---
-    std::vector<Event*> waiting_on_;     ///< events this process is registered with
+    Event* waiting_on_ = nullptr;        ///< the event this process is registered with
     bool timeout_armed_ = false;
     bool timeout_counted_ = false;       ///< armed timeout counted as live work
     std::uint64_t timeout_seq_ = 0;      ///< invalidates stale zero-waiter entries
     TimingWheel::Handle timeout_handle_; ///< wheel entry of the armed timeout
     WakeReason wake_reason_ = WakeReason::none;
-    Event* waking_event_ = nullptr;
 };
 
 } // namespace rtsc::kernel

@@ -9,18 +9,7 @@ namespace rtsc::kernel {
 
 namespace {
 thread_local Simulator* g_current_sim = nullptr;
-// Process-wide default for Simulator::skip_ahead(); relaxed atomic so
-// concurrent campaign threads constructing simulators race cleanly.
-std::atomic<bool> g_skip_ahead_default{true};
 } // namespace
-
-void Simulator::set_skip_ahead_default(bool on) noexcept {
-    g_skip_ahead_default.store(on, std::memory_order_relaxed);
-}
-
-bool Simulator::skip_ahead_default() noexcept {
-    return g_skip_ahead_default.load(std::memory_order_relaxed);
-}
 
 // ---------------------------------------------------------------- Process
 
@@ -28,17 +17,7 @@ Process::Process(Simulator& sim, std::string name, std::function<void()> body,
                  std::size_t stack_bytes)
     : sim_(sim),
       name_(std::move(name)),
-      kind_(Kind::thread),
       coro_(std::make_unique<Coroutine>(std::move(body), stack_bytes)),
-      done_event_(std::make_unique<Event>(name_ + ".done")) {}
-
-Process::Process(Simulator& sim, std::string name,
-                 std::function<void()> callback, std::vector<Event*> sensitivity)
-    : sim_(sim),
-      name_(std::move(name)),
-      kind_(Kind::method),
-      method_callback_(std::move(callback)),
-      static_sensitivity_(std::move(sensitivity)),
       done_event_(std::make_unique<Event>(name_ + ".done")) {}
 
 // ------------------------------------------------------------------ Event
@@ -83,7 +62,6 @@ void Event::cancel() {
 Simulator::Simulator() {
     prev_current_ = g_current_sim;
     g_current_sim = this;
-    skip_ahead_ = skip_ahead_default();
 }
 
 Simulator::~Simulator() { g_current_sim = prev_current_; }
@@ -109,43 +87,7 @@ Process& Simulator::spawn(std::string name, std::function<void()> body,
 Process& Simulator::require_process(const char* what) const {
     if (!current_process_)
         throw SimulationError(std::string(what) + " called outside of a process");
-    if (current_process_->kind_ == Process::Kind::method)
-        throw SimulationError(std::string(what) +
-                              " called inside a method process (methods must "
-                              "use next_trigger, not wait)");
     return *current_process_;
-}
-
-Process& Simulator::spawn_method(std::string name,
-                                 std::function<void()> callback,
-                                 std::vector<Event*> sensitivity) {
-    auto proc = std::unique_ptr<Process>(
-        new Process(*this, std::move(name), std::move(callback),
-                    std::move(sensitivity)));
-    Process& p = *proc;
-    processes_.push_back(std::move(proc));
-    p.runnable_ = true;
-    runnable_.push_back(&p);
-    return p;
-}
-
-void Simulator::next_trigger(Time delay) {
-    if (!current_process_ || current_process_->kind_ != Process::Kind::method)
-        throw SimulationError("next_trigger outside of a method process");
-    Process& p = *current_process_;
-    clear_wait_state(p);
-    arm_timeout(p, delay);
-    p.next_trigger_armed_ = true;
-}
-
-void Simulator::next_trigger(Event& e) {
-    if (!current_process_ || current_process_->kind_ != Process::Kind::method)
-        throw SimulationError("next_trigger outside of a method process");
-    Process& p = *current_process_;
-    clear_wait_state(p);
-    e.waiters_.push_back(&p);
-    p.waiting_on_.push_back(&e);
-    p.next_trigger_armed_ = true;
 }
 
 // ---- event machinery ----
@@ -173,28 +115,18 @@ void Simulator::add_delta_pending(Event& e) { delta_pending_.push_back(&e); }
 
 void Simulator::trigger(Event& e) {
     if (e.waiters_.empty()) return;
-    // Waking modifies e.waiters_ via clear_wait_state; iterate over a moved-
-    // out copy. The scratch buffer makes the common non-nested notification
-    // allocation-free (wake() runs no user code, so trigger() only re-enters
-    // through exotic observer hooks -- those fall back to a local vector).
-    if (trigger_depth_ == 0) {
-        ++trigger_depth_;
-        trigger_scratch_.clear();
-        trigger_scratch_.swap(e.waiters_);
-        for (Process* p : trigger_scratch_)
-            wake(*p, Process::WakeReason::event, &e);
-        --trigger_depth_;
-    } else {
-        std::vector<Process*> waiters;
-        waiters.swap(e.waiters_);
-        for (Process* p : waiters) wake(*p, Process::WakeReason::event, &e);
-    }
+    // Waking modifies e.waiters_ via clear_wait_state; iterate over a
+    // swapped-out copy. wake() runs no user code, so trigger() never
+    // re-enters and one recycled scratch buffer keeps it allocation-free.
+    trigger_scratch_.clear();
+    trigger_scratch_.swap(e.waiters_);
+    for (Process* p : trigger_scratch_) wake(*p, Process::WakeReason::event);
 }
 
 void Simulator::purge_event(Event& e) {
-    // Unregister from any process still waiting on e (they keep waiting on
-    // their other wake sources).
-    for (Process* p : e.waiters_) std::erase(p->waiting_on_, &e);
+    // Unregister from any process still waiting on e (an armed timeout is
+    // then its only wake source).
+    for (Process* p : e.waiters_) p->waiting_on_ = nullptr;
     e.waiters_.clear();
     std::erase(delta_pending_, &e);
     // Cancel a pending timed notification through the handle: the wheel
@@ -203,18 +135,19 @@ void Simulator::purge_event(Event& e) {
     cancel_timed(e);
 }
 
-void Simulator::wake(Process& p, Process::WakeReason reason, Event* ev) {
+void Simulator::wake(Process& p, Process::WakeReason reason) {
     if (p.runnable_ || p.terminated_) return;
     clear_wait_state(p);
     p.wake_reason_ = reason;
-    p.waking_event_ = ev;
     p.runnable_ = true;
     runnable_.push_back(&p);
 }
 
 void Simulator::clear_wait_state(Process& p) {
-    for (Event* e : p.waiting_on_) std::erase(e->waiters_, &p);
-    p.waiting_on_.clear();
+    if (p.waiting_on_ != nullptr) {
+        std::erase(p.waiting_on_->waiters_, &p);
+        p.waiting_on_ = nullptr;
+    }
     if (p.timeout_armed_) {
         ++p.timeout_seq_; // invalidates a zero-waiter entry, if any
         p.timeout_armed_ = false;
@@ -267,7 +200,6 @@ void Simulator::flush_hot() {
 void Simulator::suspend_current() {
     Process& p = *current_process_;
     p.wake_reason_ = Process::WakeReason::none;
-    p.waking_event_ = nullptr;
     p.coro_->yield();
     // A kill posted while this process was suspended surfaces here, on the
     // process's own stack, so the wait()er's frames unwind with RAII intact.
@@ -283,8 +215,7 @@ void Simulator::kill_process(Process& p) {
         p.kill_requested_ = false;
         throw ProcessKilled(p.name_);
     }
-    if (p.kind_ == Process::Kind::method ||
-        (p.kind_ == Process::Kind::thread && !p.coro_->started())) {
+    if (!p.coro_->started()) {
         // No live stack to unwind: retire the process in place.
         p.terminated_ = true;
         clear_wait_state(p);
@@ -294,7 +225,7 @@ void Simulator::kill_process(Process& p) {
         return;
     }
     p.kill_requested_ = true;
-    wake(p, Process::WakeReason::killed, nullptr);
+    wake(p, Process::WakeReason::killed);
 }
 
 // ---- wait services ----
@@ -339,42 +270,17 @@ void Simulator::wait(Time duration) {
 void Simulator::wait(Event& e) {
     Process& p = require_process("wait(Event)");
     e.waiters_.push_back(&p);
-    p.waiting_on_.push_back(&e);
+    p.waiting_on_ = &e;
     suspend_current();
 }
 
 Process::WakeReason Simulator::wait(Time timeout, Event& e) {
     Process& p = require_process("wait(Time, Event)");
     e.waiters_.push_back(&p);
-    p.waiting_on_.push_back(&e);
+    p.waiting_on_ = &e;
     arm_timeout(p, timeout);
     suspend_current();
     return p.wake_reason_;
-}
-
-Event& Simulator::wait_any(std::initializer_list<Event*> events) {
-    return wait_any(std::vector<Event*>(events));
-}
-
-Event& Simulator::wait_any(const std::vector<Event*>& events) {
-    Process& p = require_process("wait_any");
-    for (Event* e : events) {
-        e->waiters_.push_back(&p);
-        p.waiting_on_.push_back(e);
-    }
-    suspend_current();
-    return *p.waking_event_;
-}
-
-Event* Simulator::wait_any(Time timeout, const std::vector<Event*>& events) {
-    Process& p = require_process("wait_any");
-    for (Event* e : events) {
-        e->waiters_.push_back(&p);
-        p.waiting_on_.push_back(e);
-    }
-    arm_timeout(p, timeout);
-    suspend_current();
-    return p.wake_reason_ == Process::WakeReason::event ? p.waking_event_ : nullptr;
 }
 
 void Simulator::request_update(UpdateHook& hook) {
@@ -404,7 +310,7 @@ bool Simulator::advance_time(Time limit) {
                 p->timeout_counted_ = false;
                 --live_timed_;
             }
-            wake(*p, Process::WakeReason::timeout, nullptr);
+            wake(*p, Process::WakeReason::timeout);
             return true;
         }
         flush_hot();
@@ -432,7 +338,7 @@ bool Simulator::advance_time(Time limit) {
                 f.proc->timeout_counted_ = false;
                 --live_timed_;
             }
-            wake(*f.proc, Process::WakeReason::timeout, nullptr);
+            wake(*f.proc, Process::WakeReason::timeout);
         }
     }
     fired_batch_.clear();
@@ -455,27 +361,9 @@ void Simulator::evaluate_phase() {
         current_process_ = p;
         ++activations_;
         ++p->activations_;
-        if (p->kind_ == Process::Kind::method) {
-            p->next_trigger_armed_ = false;
-            try {
-                p->method_callback_();
-            } catch (...) {
-                current_process_ = nullptr;
-                throw;
-            }
-            // Re-arm: dynamic next_trigger wins; otherwise the static
-            // sensitivity; with neither, the method stays dormant.
-            if (!p->next_trigger_armed_) {
-                for (Event* e : p->static_sensitivity_) {
-                    e->waiters_.push_back(p);
-                    p->waiting_on_.push_back(e);
-                }
-            }
-        } else {
-            p->coro_->resume();
-        }
+        p->coro_->resume();
         current_process_ = nullptr;
-        if (p->kind_ == Process::Kind::thread && p->coro_->finished()) {
+        if (p->coro_->finished()) {
             p->terminated_ = true;
             clear_wait_state(*p);
             p->done_event_->notify_delta();
@@ -511,7 +399,7 @@ void Simulator::delta_notify_phase() {
         for (const ZeroWaiter& z : zero_scratch_) {
             if (z.proc->timeout_armed_ && z.proc->timeout_seq_ == z.seq) {
                 z.proc->timeout_armed_ = false;
-                wake(*z.proc, Process::WakeReason::timeout, nullptr);
+                wake(*z.proc, Process::WakeReason::timeout);
             }
         }
     }
@@ -595,15 +483,11 @@ void Simulator::check_for_stall() {
     stall_report_.at = now_;
     for (const auto& up : processes_) {
         const Process& p = *up;
-        if (p.terminated_ || p.runnable_ || p.daemon_ ||
-            p.kind_ != Process::Kind::thread || !p.coro_->started())
+        if (p.terminated_ || p.runnable_ || p.daemon_ || !p.coro_->started())
             continue;
-        BlockedProcess b;
-        b.process = p.name_;
-        for (const Event* e : p.waiting_on_) b.waiting_on.push_back(e->name());
-        if (b.waiting_on.empty())
-            b.waiting_on.emplace_back("<nothing: suspended forever>");
-        stall_report_.blocked.push_back(std::move(b));
+        stall_report_.blocked.push_back(
+            {p.name_, p.waiting_on_ != nullptr ? p.waiting_on_->name()
+                                               : "<nothing: suspended forever>"});
     }
     if (stall_report_.detected())
         reporter_.report(Severity::warning, stall_report_.to_string());
@@ -614,8 +498,7 @@ std::string Simulator::StallReport::to_string() const {
                       std::to_string(blocked.size()) +
                       " process(es) blocked with no pending activity";
     for (const auto& b : blocked) {
-        msg += "\n  " + b.process + " waits on:";
-        for (const std::string& e : b.waiting_on) msg += " " + e;
+        msg += "\n  " + b.process + " waits on: " + b.waiting_on;
     }
     return msg;
 }

@@ -7,14 +7,16 @@
 // with simulated time advancing to the next timed notification when a delta
 // cycle produces no runnable process.
 //
+// The kernel offers only what the RTOS model uses: thread processes, events,
+// wait() on a duration, an event or both, and simulated time. Hardware-side
+// communication goes through the MCSE relations (mcse/), not kernel channels.
+//
 // One Simulator is active per thread at a time (Simulator::current()); all
-// Events, Processes and channels bind to it on construction, so sequential
-// tests can each build an isolated simulation.
+// Events and Processes bind to it on construction, so sequential tests can
+// each build an isolated simulation.
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,8 +29,8 @@
 
 namespace rtsc::kernel {
 
-/// Primitive channels register an UpdateHook to participate in the update
-/// phase (Signal<T> uses this to commit writes between delta cycles).
+/// An UpdateHook takes part in the update phase: request_update() runs it
+/// once at the end of the current delta cycle, before delta notifications.
 class UpdateHook {
 public:
     virtual ~UpdateHook() = default;
@@ -54,23 +56,11 @@ public:
     Process& spawn(std::string name, std::function<void()> body,
                    std::size_t stack_bytes = Coroutine::default_stack_bytes);
 
-    /// Create a method process (SC_METHOD-like): `callback` runs to
-    /// completion on every trigger — once at start, then whenever an event
-    /// in its static sensitivity fires, unless the callback re-armed itself
-    /// with next_trigger(). Methods must not call wait().
-    Process& spawn_method(std::string name, std::function<void()> callback,
-                          std::vector<Event*> sensitivity);
-
-    /// From inside a method callback: override the static sensitivity for
-    /// the next activation only.
-    void next_trigger(Time delay);
-    void next_trigger(Event& e);
-
     /// Terminate a process asynchronously. A suspended thread process is made
     /// runnable and a ProcessKilled exception is raised at its suspension
     /// point so its stack unwinds (RAII cleanup runs); killing the currently
-    /// executing process throws ProcessKilled directly; a method process or a
-    /// never-started thread is terminated in place. Idempotent on terminated
+    /// executing process throws ProcessKilled directly; a never-started
+    /// process is terminated in place. Idempotent on terminated
     /// processes. The done_event fires as for a normal termination.
     void kill_process(Process& p);
 
@@ -92,13 +82,6 @@ public:
     /// Suspend until the event fires or the timeout elapses, whichever is
     /// first; returns the wake reason. On an exact tie the event wins.
     Process::WakeReason wait(Time timeout, Event& e);
-    /// Suspend until any of the events fires; returns the one that did.
-    Event& wait_any(std::initializer_list<Event*> events);
-    Event& wait_any(const std::vector<Event*>& events);
-    /// As wait_any but with a timeout; returns nullptr on timeout. The tie
-    /// rule matches wait(Time, Event&): an event firing exactly at the
-    /// timeout instant wins.
-    Event* wait_any(Time timeout, const std::vector<Event*>& events);
 
     /// Re-queue the calling process at the tail of the current evaluate
     /// sweep and suspend; it resumes in the SAME delta cycle after every
@@ -187,20 +170,16 @@ public:
         skip_ahead_ = on;
     }
     [[nodiscard]] bool skip_ahead() const noexcept { return skip_ahead_; }
-    /// Process-wide default for newly constructed simulators (on by
-    /// default); lets test harnesses force a mode without plumbing.
-    static void set_skip_ahead_default(bool on) noexcept;
-    [[nodiscard]] static bool skip_ahead_default() noexcept;
 
     // ---- deadlock / stall detection ----
 
     /// One process found blocked when the simulation ran out of activity.
     struct BlockedProcess {
         std::string process;                ///< process name
-        std::vector<std::string> waiting_on;///< event names it waits for
+        std::string waiting_on;             ///< name of the event it waits for
     };
     /// Structured diagnostic produced when run() exhausts all timed activity
-    /// while live (non-daemon) thread processes are still blocked.
+    /// while live (non-daemon) processes are still blocked.
     struct StallReport {
         Time at{};                          ///< time the stall was detected
         std::vector<BlockedProcess> blocked;
@@ -208,8 +187,8 @@ public:
         [[nodiscard]] std::string to_string() const;
     };
 
-    /// When enabled, run() ending with live blocked thread processes emits a
-    /// warning through the Reporter naming each stuck process and the events
+    /// When enabled, run() ending with live blocked processes emits a
+    /// warning through the Reporter naming each stuck process and the event
     /// it waits on, and fills deadlock_report(). Off by default: servers that
     /// legitimately idle at end of simulation would otherwise be flagged
     /// (mark such processes with Process::set_daemon to exempt them).
@@ -228,7 +207,7 @@ private:
     void trigger(Event& e);                 ///< wake all waiters (immediate)
     void purge_event(Event& e);             ///< event destruction cleanup
 
-    void wake(Process& p, Process::WakeReason reason, Event* ev);
+    void wake(Process& p, Process::WakeReason reason);
     void clear_wait_state(Process& p);
     void arm_timeout(Process& p, Time timeout);
     void flush_hot();                       ///< move the staged timeout into the wheel
@@ -259,8 +238,7 @@ private:
     bool running_ = false;
     bool deadlock_detection_ = false;
     bool host_profiling_ = false;
-    bool skip_ahead_ = true;            ///< initialised from the static default
-    int trigger_depth_ = 0;             ///< guards the trigger scratch buffer
+    bool skip_ahead_ = true;
     StallReport stall_report_;
     HostProfile host_profile_;
 
@@ -303,6 +281,5 @@ inline void wait(Time d) { Simulator::current().wait(d); }
 inline void wait(Event& e) { Simulator::current().wait(e); }
 inline void yield() { Simulator::current().yield(); }
 inline Process::WakeReason wait(Time timeout, Event& e) { return Simulator::current().wait(timeout, e); }
-inline Event& wait_any(std::initializer_list<Event*> evs) { return Simulator::current().wait_any(evs); }
 
 } // namespace rtsc::kernel

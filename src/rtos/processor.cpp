@@ -22,7 +22,10 @@ std::unique_ptr<SchedulerEngine> make_engine(Processor& p, EngineKind kind) {
 
 Processor::Processor(std::string name, std::unique_ptr<SchedulingPolicy> policy,
                      EngineKind engine)
-    : Module(std::move(name)), policy_(std::move(policy)), engine_kind_(engine) {
+    : sim_(k::Simulator::current()),
+      name_(std::move(name)),
+      policy_(std::move(policy)),
+      engine_kind_(engine) {
     if (!policy_)
         throw k::SimulationError("Processor requires a scheduling policy: " +
                                  this->name());

@@ -8,12 +8,14 @@
 //   - the three overhead parameters of §3.2,
 //   - the scheduler engine: procedure-call based (§4.2, default) or with a
 //     dedicated RTOS thread (§4.1).
+// A Processor binds to the simulator active at construction; its engine
+// spawns the processes that run its tasks (and, §4.1, its RTOS thread).
 
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "kernel/module.hpp"
+#include "kernel/simulator.hpp"
 #include "rtos/dvfs.hpp"
 #include "rtos/engine.hpp"
 #include "rtos/overhead.hpp"
@@ -28,13 +30,19 @@ enum class EngineKind {
     rtos_thread,     ///< §4.1: a dedicated scheduler thread (more switches)
 };
 
-class Processor : public kernel::Module {
+class Processor {
 public:
     explicit Processor(std::string name,
                        std::unique_ptr<SchedulingPolicy> policy =
                            std::make_unique<PriorityPreemptivePolicy>(),
                        EngineKind engine = EngineKind::procedure_calls);
-    ~Processor() override;
+    virtual ~Processor();
+
+    Processor(const Processor&) = delete;
+    Processor& operator=(const Processor&) = delete;
+
+    [[nodiscard]] const std::string& name() const noexcept { return name_; }
+    [[nodiscard]] kernel::Simulator& simulator() const noexcept { return sim_; }
 
     // ---- task management ----
     Task& create_task(TaskConfig config, Task::Body body);
@@ -156,6 +164,8 @@ private:
     friend class SchedulerEngine; // level application + energy folding
     friend class Task;            // set_state: on_task_state + on_job per observer
 
+    kernel::Simulator& sim_;
+    std::string name_;
     std::unique_ptr<SchedulingPolicy> policy_;
     EngineKind engine_kind_;
     std::unique_ptr<SchedulerEngine> engine_;

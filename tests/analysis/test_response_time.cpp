@@ -94,6 +94,20 @@ TEST(AnalysisTest, Hyperperiod) {
     EXPECT_EQ(a::hyperperiod(classic_set()), 60_ms); // lcm(4,6,10)
     EXPECT_EQ(a::hyperperiod({{"x", 7_us, 1_us, Time::zero(), 1, Time::zero()}}),
               7_us);
+    const auto task = [](Time::rep ps) {
+        return a::PeriodicTask{"t", Time::ps(ps), 1_us, Time::zero(), 1,
+                               Time::zero()};
+    };
+    // Pairwise coprime periods near 1 s: their LCM in ps is ~1e48, far past
+    // 64 bits, so the hyperperiod saturates instead of wrapping.
+    EXPECT_EQ(a::hyperperiod({task(999'999'999'989), task(999'999'999'961),
+                              task(999'999'999'959), task(999'999'999'937)}),
+              Time::max());
+    // At the 64-bit boundary: 2^32 * (2^32 - 1) fits, 2^32 * (2^32 + 1) not.
+    constexpr Time::rep two32 = Time::rep{1} << 32;
+    EXPECT_EQ(a::hyperperiod({task(two32), task(two32 - 1)}),
+              Time::ps(two32 * (two32 - 1)));
+    EXPECT_EQ(a::hyperperiod({task(two32), task(two32 + 1)}), Time::max());
 }
 
 TEST(AnalysisTest, EffectiveDeadlineDefaultsToPeriod) {

@@ -2,6 +2,7 @@
 // SystemC override rules) and the wait() family.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "kernel/simulator.hpp"
@@ -217,47 +218,27 @@ TEST(EventTest, WaitWithTimeoutEventFirst) {
     EXPECT_EQ(sim.now(), 2_us);
 }
 
-TEST(EventTest, WaitAnyReturnsFiringEvent) {
-    Simulator sim;
-    Event a("a"), b("b");
-    Event* fired = nullptr;
-    sim.spawn("waiter", [&] { fired = &sim.wait_any({&a, &b}); });
-    sim.spawn("notifier", [&] {
-        k::wait(1_us);
-        b.notify();
-    });
-    sim.run();
-    ASSERT_NE(fired, nullptr);
-    EXPECT_EQ(fired, &b);
-}
-
-TEST(EventTest, WaitAnyWithTimeout) {
-    Simulator sim;
-    Event a("a"), b("b");
-    Event* fired = &a;
-    sim.spawn("waiter", [&] {
-        std::vector<Event*> evs{&a, &b};
-        fired = sim.wait_any(3_us, evs);
-        EXPECT_EQ(sim.now(), 3_us);
-    });
-    sim.run();
-    EXPECT_EQ(fired, nullptr);
-}
-
 TEST(EventTest, DestroyedEventUnregistersWaiter) {
     Simulator sim;
     auto e = std::make_unique<Event>("short_lived");
-    Event other("other");
-    Event* fired = nullptr;
-    sim.spawn("waiter", [&] { fired = &sim.wait_any({e.get(), &other}); });
+    Process::WakeReason reason{};
+    Time woke_at;
+    sim.spawn("waiter", [&] {
+        reason = sim.wait(5_us, *e);
+        woke_at = sim.now();
+    });
     sim.spawn("killer", [&] {
         k::wait(1_us);
         e.reset(); // destroy while waited upon
+        // A fresh event (possibly at the freed address) must not reach the
+        // waiter through a stale registration.
+        e = std::make_unique<Event>("fresh");
         k::wait(1_us);
-        other.notify();
+        e->notify();
     });
     sim.run();
-    EXPECT_EQ(fired, &other);
+    EXPECT_EQ(reason, Process::WakeReason::timeout);
+    EXPECT_EQ(woke_at, 5_us);
 }
 
 TEST(EventTest, WaitZeroIsOneDeltaNotATimeAdvance) {
@@ -370,23 +351,6 @@ TEST(EventTest, TimeoutTieEventWinsWhenNotifyArmedFirst) {
     sim.spawn("waiter", [&] { reason = sim.wait(5_us, e); });
     sim.run();
     EXPECT_EQ(reason, Process::WakeReason::event);
-}
-
-TEST(EventTest, WaitAnyTimeoutTieEventWins) {
-    Simulator sim;
-    Event a("a");
-    Event b("b");
-    Event* fired = nullptr;
-    Time woke_at;
-    sim.spawn("waiter", [&] {
-        std::vector<Event*> evs{&a, &b};
-        fired = sim.wait_any(7_us, evs); // timeout armed before the notify
-        woke_at = sim.now();
-    });
-    sim.spawn("notifier", [&] { b.notify(7_us); });
-    sim.run();
-    EXPECT_EQ(fired, &b);
-    EXPECT_EQ(woke_at, 7_us);
 }
 
 TEST(EventTest, TimeoutTieLosesToEventEvenAcrossReArm) {

@@ -2,6 +2,7 @@
 // done-events, run/run_until, stop, statistics, error paths.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -309,6 +310,58 @@ TEST(PendingActivityTest, UpdateRequestPending) {
     });
     sim.run();
     EXPECT_EQ(seen, (std::vector<bool>{false, true}));
+}
+
+// The update phase between evaluate and delta notification: a value
+// committed in update() is invisible for the rest of the evaluate phase and
+// visible one delta later, repeated requests in one delta run update() once,
+// and a delta notification issued from update() wakes its waiter in the
+// next delta. Checked with and without the skip-ahead fast path.
+TEST(UpdatePhaseTest, CommitsOncePerDeltaBeforeDeltaNotifications) {
+    for (const bool skip : {true, false}) {
+        SCOPED_TRACE(skip ? "skip-ahead on" : "skip-ahead off");
+        Simulator sim;
+        sim.set_skip_ahead(skip);
+        struct Cell final : k::UpdateHook {
+            Event changed{"changed"};
+            int next = 0;
+            int value = 0;
+            int updates = 0;
+            void update() override {
+                value = next;
+                ++updates;
+                changed.notify_delta();
+            }
+        } cell;
+        std::vector<int> writer_sees, reader_sees;
+        std::vector<std::uint64_t> writer_deltas, reader_deltas;
+        sim.spawn("reader", [&] {
+            for (int i = 0; i < 2; ++i) {
+                k::wait(cell.changed);
+                reader_sees.push_back(cell.value);
+                reader_deltas.push_back(sim.delta_count());
+            }
+        });
+        sim.spawn("writer", [&] {
+            for (const int v : {42, 7}) {
+                writer_deltas.push_back(sim.delta_count());
+                cell.next = v;
+                sim.request_update(cell);
+                sim.request_update(cell);
+                writer_sees.push_back(cell.value);
+                k::wait(Time::zero());
+                writer_deltas.push_back(sim.delta_count());
+                writer_sees.push_back(cell.value);
+            }
+        });
+        sim.run();
+        EXPECT_EQ(cell.updates, 2);
+        EXPECT_EQ(writer_sees, (std::vector<int>{0, 42, 42, 7}));
+        EXPECT_EQ(writer_deltas, (std::vector<std::uint64_t>{0, 1, 1, 2}));
+        EXPECT_EQ(reader_sees, (std::vector<int>{42, 7}));
+        EXPECT_EQ(reader_deltas, (std::vector<std::uint64_t>{1, 2}));
+        EXPECT_EQ(sim.now(), Time::zero());
+    }
 }
 
 TEST(PendingActivityTest, StopRequested) {

@@ -92,8 +92,7 @@ void tombstone_only_stall(bool skip_ahead) {
     EXPECT_EQ(report.at, 1_us);
     ASSERT_EQ(report.blocked.size(), 1u);
     EXPECT_EQ(report.blocked[0].process, "victim");
-    ASSERT_EQ(report.blocked[0].waiting_on.size(), 1u);
-    EXPECT_EQ(report.blocked[0].waiting_on[0], "never");
+    EXPECT_EQ(report.blocked[0].waiting_on, "never");
 }
 
 } // namespace

@@ -246,10 +246,10 @@ int run_serial(const std::vector<ModelItem>& items, const Options& opt) {
     return rc;
 }
 
-/// Campaign fan-out over a worker pool. A violation in ANY scenario — or a
-/// scenario that failed outright — makes the sweep exit nonzero.
-int run_parallel(const std::vector<ModelItem>& items, const Options& opt,
-                 campaign::CampaignReport* out_report) {
+/// One campaign pass over the models on `workers` threads (0 = one per
+/// hardware thread); each model's exploration verdict becomes its metrics.
+campaign::CampaignReport run_campaign(const std::vector<ModelItem>& items,
+                                      const Options& opt, unsigned workers) {
     std::vector<campaign::ScenarioSpec> scenarios;
     scenarios.reserve(items.size());
     for (const ModelItem& item : items)
@@ -268,9 +268,15 @@ int run_parallel(const std::vector<ModelItem>& items, const Options& opt,
                                                ": " + r.diagnosis);
              }});
     campaign::CampaignRunner::Options ro;
-    ro.workers = opt.jobs;
-    const campaign::CampaignReport report =
-        campaign::CampaignRunner(ro).run(scenarios);
+    ro.workers = workers;
+    return campaign::CampaignRunner(ro).run(scenarios);
+}
+
+/// Campaign fan-out over a worker pool. A violation in ANY scenario — or a
+/// scenario that failed outright — makes the sweep exit nonzero.
+int run_parallel(const std::vector<ModelItem>& items, const Options& opt,
+                 campaign::CampaignReport* out_report) {
+    const campaign::CampaignReport report = run_campaign(items, opt, opt.jobs);
     int rc = 0;
     for (const auto& res : report.results) {
         if (!res.ok) {
@@ -409,9 +415,12 @@ int run_frontier(const ModelItem& item, const Options& opt) {
     return r.complete ? 0 : 3;
 }
 
-/// --bench: one campaign pass over the models; per-model schedule counts
-/// become the bench metrics so CI can pin/inspect enumeration sizes.
+/// --bench: a serial campaign pass and a pass on the worker pool over the
+/// models; both wall times, their ratio and the digest comparison are
+/// recorded, and per-model schedule counts become the bench metrics so CI
+/// can pin/inspect enumeration sizes.
 int bench(const std::vector<ModelItem>& items, const Options& opt) {
+    const campaign::CampaignReport serial = run_campaign(items, opt, 1);
     campaign::CampaignReport report;
     const int rc = run_parallel(items, opt, &report);
     campaign::BenchEntry entry;
@@ -419,11 +428,11 @@ int bench(const std::vector<ModelItem>& items, const Options& opt) {
     entry.scenarios = report.results.size();
     entry.hardware_cores = std::thread::hardware_concurrency();
     entry.workers = report.workers;
-    entry.serial_ms = report.wall_ms;
+    entry.serial_ms = serial.wall_ms;
     entry.parallel_ms = report.wall_ms;
-    entry.speedup = 1.0;
-    entry.digest = report.digest();
-    entry.digests_match = true;
+    entry.speedup = report.wall_ms > 0 ? serial.wall_ms / report.wall_ms : 0;
+    entry.digest = serial.digest();
+    entry.digests_match = report.digest() == serial.digest();
     entry.metrics = report.aggregate_metrics();
     // Per-model schedule counts, pinned by name.
     for (const auto& res : report.results)
@@ -436,9 +445,13 @@ int bench(const std::vector<ModelItem>& items, const Options& opt) {
                 entry.metrics.push_back(m);
             }
     campaign::write_bench_entry(opt.bench, entry);
-    std::printf("bench: %zu models, %.1f ms wall -> %s\n", entry.scenarios,
-                report.wall_ms, opt.bench.c_str());
-    return rc;
+    std::printf("bench: %zu models, serial %.1f ms, %u workers %.1f ms, "
+                "digests %s -> %s\n",
+                entry.scenarios, serial.wall_ms, report.workers,
+                report.wall_ms, entry.digests_match ? "match" : "MISMATCH",
+                opt.bench.c_str());
+    // A worker count that changes the results is a determinism bug.
+    return entry.digests_match ? rc : 1;
 }
 
 } // namespace

@@ -22,6 +22,7 @@
 // per engine and the models where the procedural engine was not cheaper.
 // Exit status: 0 = all seeds equivalent, 1 = divergence found, 2 = usage.
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
@@ -290,6 +291,36 @@ double engine_throughput(const Options& opt, rtsc::rtos::EngineKind kind) {
     return sec > 0 ? static_cast<double>(opt.seeds) / sec : 0.0;
 }
 
+struct LaneThroughput {
+    double procedural = 0; ///< models/s
+    double threaded = 0;   ///< models/s
+};
+
+/// Median throughput of each engine lane. One untimed pass warms both lanes
+/// up; the timed repetitions then alternate which lane runs first, so
+/// neither lane is always measured on a cold process.
+LaneThroughput lane_throughput(const Options& opt) {
+    using rtsc::rtos::EngineKind;
+    constexpr int kReps = 5;
+    (void)engine_throughput(opt, EngineKind::procedure_calls);
+    (void)engine_throughput(opt, EngineKind::rtos_thread);
+    std::vector<double> proc, thrd;
+    for (int r = 0; r < kReps; ++r) {
+        if (r % 2 == 0) {
+            proc.push_back(engine_throughput(opt, EngineKind::procedure_calls));
+            thrd.push_back(engine_throughput(opt, EngineKind::rtos_thread));
+        } else {
+            thrd.push_back(engine_throughput(opt, EngineKind::rtos_thread));
+            proc.push_back(engine_throughput(opt, EngineKind::procedure_calls));
+        }
+    }
+    const auto median = [](std::vector<double>& v) {
+        std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+        return v[v.size() / 2];
+    };
+    return {median(proc), median(thrd)};
+}
+
 /// A whole-sweep figure in the per-metric summary shape.
 campaign::MetricSummary sweep_summary(const std::string& name, double value,
                                       std::size_t n) {
@@ -316,10 +347,7 @@ int bench(const Options& opt) {
     entry.digest = serial.digest();
     entry.digests_match = serial.digest() == parallel.digest();
     entry.metrics = serial.aggregate_metrics();
-    const double proc_tput =
-        engine_throughput(opt, rtsc::rtos::EngineKind::procedure_calls);
-    const double thrd_tput =
-        engine_throughput(opt, rtsc::rtos::EngineKind::rtos_thread);
+    const auto [proc_tput, thrd_tput] = lane_throughput(opt);
     entry.metrics.push_back(sweep_summary(
         "procedural_models_per_sec", proc_tput, opt.seeds));
     entry.metrics.push_back(sweep_summary(
